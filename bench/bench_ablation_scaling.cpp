@@ -13,6 +13,7 @@
 #include <chrono>
 
 #include "bench_util.h"
+#include "farm/wire.h"
 
 namespace {
 
@@ -37,17 +38,6 @@ meshConfig(RouterArch a, int k)
     return cfg;
 }
 
-/** Deterministic engine => every reported quantity matches exactly. */
-bool
-identical(const SimResult &a, const SimResult &b)
-{
-    return a.avgLatency == b.avgLatency && a.maxLatency == b.maxLatency &&
-           a.p99Latency == b.p99Latency &&
-           a.throughputFlits == b.throughputFlits &&
-           a.injected == b.injected && a.delivered == b.delivered &&
-           a.energyPerPacketNj == b.energyPerPacketNj &&
-           a.cycles == b.cycles && a.timedOut == b.timedOut;
-}
 
 } // namespace
 
@@ -117,9 +107,12 @@ main()
             results[s] = sim.run();
             wallMs[s] = msSince(t0);
         }
+        // Deterministic engine => every reported quantity matches.
         bool same = true;
-        for (std::size_t s = 1; s < std::size(shardCounts); ++s)
-            same = same && identical(results[0], results[s]);
+        for (std::size_t s = 1; s < std::size(shardCounts); ++s) {
+            same = same && farm::resultBytes(results[0]) ==
+                               farm::resultBytes(results[s]);
+        }
         char mesh[16];
         std::snprintf(mesh, sizeof mesh, "%dx%d", k, k);
         std::printf("%-8s | %8.2fx %8.2fx %8.2fx %8.2fx | %s\n", mesh,

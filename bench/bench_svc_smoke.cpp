@@ -25,6 +25,7 @@
 
 #include "bench_util.h"
 #include "exp/saturation.h"
+#include "farm/wire.h"
 #include "fault/fault_injector.h"
 #include "svc/protocol.h"
 
@@ -65,28 +66,11 @@ svcRun(SimConfig cfg, const std::vector<FaultSpec> &faults, int shards)
 bool
 identical(const SvcRun &a, const SvcRun &b)
 {
-    if (a.r.avgLatency != b.r.avgLatency || a.r.cycles != b.r.cycles ||
-        a.r.injected != b.r.injected || a.r.delivered != b.r.delivered ||
-        a.r.drainCycles != b.r.drainCycles ||
-        a.r.replyCount != b.r.replyCount ||
-        a.r.mshrThrottled != b.r.mshrThrottled ||
-        a.r.svcTimeouts != b.r.svcTimeouts ||
-        a.r.svcLateReplies != b.r.svcLateReplies ||
+    if (farm::resultBytes(a.r) != farm::resultBytes(b.r) ||
         a.ledger.created != b.ledger.created ||
         a.ledger.retired != b.ledger.retired ||
         a.ledger.svcPending != b.ledger.svcPending)
         return false;
-    if (a.r.classes.size() != b.r.classes.size())
-        return false;
-    for (std::size_t c = 0; c < a.r.classes.size(); ++c) {
-        const SimResult::ClassResult &x = a.r.classes[c];
-        const SimResult::ClassResult &y = b.r.classes[c];
-        if (x.injected != y.injected || x.delivered != y.delivered ||
-            x.avgLatency != y.avgLatency || x.p99Latency != y.p99Latency ||
-            x.avgRtt != y.avgRtt || x.rttCount != y.rttCount ||
-            x.sloViolations != y.sloViolations)
-            return false;
-    }
     for (int c = 0; c < kNumMsgClasses; ++c) {
         if (a.ledger.createdByClass[c] != b.ledger.createdByClass[c] ||
             a.ledger.retiredByClass[c] != b.ledger.retiredByClass[c])

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "farm/wire.h"
 #include "fault/fault.h"
 #include "obs/counters.h"
 #include "obs/obs.h"
@@ -44,15 +45,6 @@ usage(const char *msg)
     std::fprintf(stderr, "noc_trace: %s (see the file header for "
                          "options)\n", msg);
     std::exit(2);
-}
-
-RouterArch
-parseArch(const std::string &s)
-{
-    if (s == "generic") return RouterArch::Generic;
-    if (s == "ps" || s == "pathsensitive") return RouterArch::PathSensitive;
-    if (s == "roco") return RouterArch::Roco;
-    usage("unknown --arch");
 }
 
 /**
@@ -101,7 +93,12 @@ main(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--arch") cfg.arch = parseArch(need(i));
+        if (a == "--arch") {
+            auto arch = farm::parseArch(need(i));
+            if (!arch)
+                usage("unknown --arch");
+            cfg.arch = *arch;
+        }
         else if (a == "--mesh") {
             cfg.meshWidth = std::atoi(need(i).c_str());
             cfg.meshHeight = cfg.meshWidth;

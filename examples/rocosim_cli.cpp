@@ -42,6 +42,7 @@
 #include <unistd.h>
 
 #include "exp/sweep.h"
+#include "farm/wire.h"
 #include "fault/fault_injector.h"
 #include "sim/simulator.h"
 
@@ -57,39 +58,15 @@ usage(const char *msg)
     std::exit(2);
 }
 
-RouterArch
-parseArch(const std::string &s)
+/** Resolves a name with @p parse (farm/wire.h); usage error if unknown. */
+template <typename Parse>
+auto
+parseOr(Parse parse, const std::string &s, const char *what)
 {
-    if (s == "generic") return RouterArch::Generic;
-    if (s == "ps" || s == "pathsensitive") return RouterArch::PathSensitive;
-    if (s == "roco") return RouterArch::Roco;
-    usage("unknown --arch");
-}
-
-RoutingKind
-parseRouting(const std::string &s)
-{
-    if (s == "xy") return RoutingKind::XY;
-    if (s == "xyyx") return RoutingKind::XYYX;
-    if (s == "adaptive") return RoutingKind::Adaptive;
-    usage("unknown --routing");
-}
-
-TrafficKind
-parseTraffic(const std::string &s)
-{
-    if (s == "uniform") return TrafficKind::Uniform;
-    if (s == "transpose") return TrafficKind::Transpose;
-    if (s == "bitcomp") return TrafficKind::BitComplement;
-    if (s == "hotspot") return TrafficKind::Hotspot;
-    if (s == "tornado") return TrafficKind::Tornado;
-    if (s == "neighbor") return TrafficKind::NearestNeighbor;
-    if (s == "selfsimilar") return TrafficKind::SelfSimilar;
-    if (s == "mpeg") return TrafficKind::Mpeg;
-    if (s == "bitreverse") return TrafficKind::BitReverse;
-    if (s == "shuffle") return TrafficKind::Shuffle;
-    if (s == "trace") return TrafficKind::Trace;
-    usage("unknown --traffic");
+    auto v = parse(s);
+    if (!v)
+        usage(what);
+    return *v;
 }
 
 } // namespace
@@ -112,9 +89,14 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--arch") cfg.arch = parseArch(need(i));
-        else if (a == "--routing") cfg.routing = parseRouting(need(i));
-        else if (a == "--traffic") cfg.traffic = parseTraffic(need(i));
+        if (a == "--arch")
+            cfg.arch = parseOr(farm::parseArch, need(i), "unknown --arch");
+        else if (a == "--routing")
+            cfg.routing =
+                parseOr(farm::parseRouting, need(i), "unknown --routing");
+        else if (a == "--traffic")
+            cfg.traffic =
+                parseOr(farm::parseTraffic, need(i), "unknown --traffic");
         else if (a == "--trace") cfg.traceFile = need(i);
         else if (a == "--rate") cfg.injectionRate = std::atof(need(i).c_str());
         else if (a == "--mesh") {

@@ -5,8 +5,9 @@
  *
  *   ./build/examples/traffic_playground [options] [pattern] [rate] [routing]
  *   patterns: uniform transpose bitcomp hotspot tornado neighbor
- *             selfsimilar mpeg
+ *             selfsimilar mpeg bitreverse shuffle
  *   routing:  xy xyyx adaptive
+ *   An unknown pattern or routing name exits 2 with a usage message.
  *   options:  --shards <n>   run each router on the sharded engine
  *                            (src/par); results identical to serial
  *             --threads <n>  worker budget; without --shards the runs
@@ -18,31 +19,23 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "farm/wire.h"
 #include "sim/simulator.h"
 
 namespace {
 
-noc::TrafficKind
-parsePattern(const char *s)
+[[noreturn]] void
+usage(const char *msg, const char *arg)
 {
-    using enum noc::TrafficKind;
-    if (!std::strcmp(s, "transpose")) return Transpose;
-    if (!std::strcmp(s, "bitcomp")) return BitComplement;
-    if (!std::strcmp(s, "hotspot")) return Hotspot;
-    if (!std::strcmp(s, "tornado")) return Tornado;
-    if (!std::strcmp(s, "neighbor")) return NearestNeighbor;
-    if (!std::strcmp(s, "selfsimilar")) return SelfSimilar;
-    if (!std::strcmp(s, "mpeg")) return Mpeg;
-    return Uniform;
-}
-
-noc::RoutingKind
-parseRouting(const char *s)
-{
-    using enum noc::RoutingKind;
-    if (!std::strcmp(s, "xyyx")) return XYYX;
-    if (!std::strcmp(s, "adaptive")) return Adaptive;
-    return XY;
+    std::fprintf(stderr,
+                 "traffic_playground: %s '%s'\n"
+                 "usage: traffic_playground [--shards n] [--threads n] "
+                 "[pattern] [rate] [routing]\n"
+                 "  patterns: uniform transpose bitcomp hotspot tornado "
+                 "neighbor selfsimilar mpeg bitreverse shuffle\n"
+                 "  routing:  xy xyyx adaptive\n",
+                 msg, arg);
+    std::exit(2);
 }
 
 } // namespace
@@ -67,11 +60,22 @@ main(int argc, char **argv)
     if (shards == 0 && threads > 0 && !std::getenv("NOC_SHARDS"))
         shards = threads;
 
-    noc::TrafficKind traffic =
-        pos[0] ? parsePattern(pos[0]) : noc::TrafficKind::Uniform;
+    noc::TrafficKind traffic = noc::TrafficKind::Uniform;
+    if (pos[0]) {
+        auto t = noc::farm::parseTraffic(pos[0]);
+        // Trace replay needs a schedule file: see trace_replay.
+        if (!t || *t == noc::TrafficKind::Trace)
+            usage("unknown pattern", pos[0]);
+        traffic = *t;
+    }
     double rate = pos[1] ? std::atof(pos[1]) : 0.2;
-    noc::RoutingKind routing =
-        pos[2] ? parseRouting(pos[2]) : noc::RoutingKind::XY;
+    noc::RoutingKind routing = noc::RoutingKind::XY;
+    if (pos[2]) {
+        auto r = noc::farm::parseRouting(pos[2]);
+        if (!r)
+            usage("unknown routing", pos[2]);
+        routing = *r;
+    }
 
     std::printf("8x8 mesh | %s traffic | %s routing | %.2f "
                 "flits/node/cycle\n\n",

@@ -31,12 +31,9 @@
  *
  * NOC_PHASE_FN(phase) annotates a function; NOC_PHASE_STATE(p1, ...)
  * annotates a data member with the set of phases allowed to write it.
- * Constructors of the owning class are implicitly `setup`. Under
- * clang the macros expand to [[clang::annotate]] so the AST engine of
- * noc_lint sees them; elsewhere they expand to nothing (they carry no
- * codegen meaning). The portable noc_lint engine reads the macro
- * tokens straight from the source text, so the checks run even where
- * no Clang development headers exist.
+ * Constructors of the owning class are implicitly `setup`. The macros
+ * expand to nothing (they carry no codegen meaning): they are markers,
+ * and noc_lint reads their tokens straight from the source text.
  *
  * Ownership vocabulary (DESIGN section 14). On top of the phase set,
  * every annotated member declares *who may reach it across the shard
@@ -69,22 +66,10 @@
 #ifndef ROCOSIM_COMMON_ANNOTATIONS_H_
 #define ROCOSIM_COMMON_ANNOTATIONS_H_
 
-#if defined(__clang__)
-#define NOC_PHASE_FN(phase) [[clang::annotate("noc_phase_fn:" #phase)]]
-#define NOC_PHASE_STATE(...) \
-    [[clang::annotate("noc_phase_state:" #__VA_ARGS__)]]
-#define NOC_OWNED_STATE(...) \
-    [[clang::annotate("noc_owned_state:" #__VA_ARGS__)]]
-#define NOC_SHARED_ATOMIC(...) \
-    [[clang::annotate("noc_shared_atomic:" #__VA_ARGS__)]]
-#define NOC_EPILOGUE_STATE \
-    [[clang::annotate("noc_epilogue_state:epilogue")]]
-#else
 #define NOC_PHASE_FN(phase)
 #define NOC_PHASE_STATE(...)
 #define NOC_OWNED_STATE(...)
 #define NOC_SHARED_ATOMIC(...)
 #define NOC_EPILOGUE_STATE
-#endif
 
 #endif // ROCOSIM_COMMON_ANNOTATIONS_H_

@@ -121,7 +121,7 @@ std::string pointJson(const SweepPoint &p, const PointResult &r,
                       const JsonOptions &opts);
 const char *sweepJsonFooter();
 
-/** One SimResult as a single-line JSON object (noc_serve replies). */
+/** One SimResult as a single-line JSON object. */
 std::string resultJson(const SimResult &r);
 
 /**

@@ -167,6 +167,14 @@ encodePointResult(const std::string &jobId, const exp::PointResult &r,
     return out;
 }
 
+std::string
+resultBytes(const SimResult &r)
+{
+    exp::PointResult p;
+    p.result = r;
+    return encodePointResult("result", p);
+}
+
 std::optional<DecodedShard>
 decodePointResult(const std::string &bytes)
 {
@@ -505,15 +513,6 @@ FlatJson::parse(const std::string &ln)
     }
 }
 
-bool
-FlatJson::has(const std::string &key) const
-{
-    for (const Entry &e : entries_)
-        if (e.key == key)
-            return true;
-    return false;
-}
-
 std::string
 FlatJson::str(const std::string &key, const std::string &fallback) const
 {
@@ -534,80 +533,6 @@ FlatJson::num(const std::string &key, double fallback) const
         }
     }
     return fallback;
-}
-
-bool
-FlatJson::boolean(const std::string &key, bool fallback) const
-{
-    for (const Entry &e : entries_) {
-        if (e.key == key && !e.isString) {
-            if (e.value == "true")
-                return true;
-            if (e.value == "false")
-                return false;
-        }
-    }
-    return fallback;
-}
-
-bool
-applyConfigRequest(const FlatJson &req, SimConfig &cfg, std::string *err)
-{
-    if (req.has("arch")) {
-        auto a = parseArch(req.str("arch"));
-        if (!a) {
-            if (err)
-                *err = "unknown arch";
-            return false;
-        }
-        cfg.arch = *a;
-    }
-    if (req.has("routing")) {
-        auto r = parseRouting(req.str("routing"));
-        if (!r) {
-            if (err)
-                *err = "unknown routing";
-            return false;
-        }
-        cfg.routing = *r;
-    }
-    if (req.has("traffic")) {
-        auto t = parseTraffic(req.str("traffic"));
-        if (!t) {
-            if (err)
-                *err = "unknown traffic";
-            return false;
-        }
-        cfg.traffic = *t;
-    }
-    if (req.has("rate"))
-        cfg.injectionRate = req.num("rate", cfg.injectionRate);
-    if (req.has("mesh")) {
-        int n = static_cast<int>(req.num("mesh", 0));
-        if (n < 2) {
-            if (err)
-                *err = "mesh must be >= 2";
-            return false;
-        }
-        cfg.meshWidth = cfg.meshHeight = n;
-    }
-    if (req.has("vcs"))
-        cfg.vcsPerPort = static_cast<int>(req.num("vcs", cfg.vcsPerPort));
-    if (req.has("seed"))
-        cfg.seed = static_cast<std::uint64_t>(
-            req.num("seed", static_cast<double>(cfg.seed)));
-    if (req.has("warmup"))
-        cfg.warmupPackets = static_cast<std::uint64_t>(
-            req.num("warmup", static_cast<double>(cfg.warmupPackets)));
-    if (req.has("measure"))
-        cfg.measurePackets = static_cast<std::uint64_t>(
-            req.num("measure", static_cast<double>(cfg.measurePackets)));
-    if (req.has("maxCycles"))
-        cfg.maxCycles = static_cast<Cycle>(
-            req.num("maxCycles", static_cast<double>(cfg.maxCycles)));
-    if (req.has("svc"))
-        cfg.svc.enabled = req.boolean("svc", cfg.svc.enabled);
-    return true;
 }
 
 } // namespace noc::farm

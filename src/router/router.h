@@ -1,12 +1,25 @@
 /**
  * @file
  * Abstract router: port plumbing, credit bookkeeping, look-ahead
- * helpers and activity counting shared by the three microarchitectures.
+ * helpers, activity counting and the input unit shared by the three
+ * microarchitectures.
  *
- * A router is stepped once per cycle. All inter-router channels are
- * delay lines that never deliver in the cycle they were written, so
- * routers may be stepped in any order; within step() a router performs
- * its receive, allocation and traversal phases back to back.
+ * The input unit is everything the generic, Path-Sensitive and RoCo
+ * routers do alike: wormhole VC buffers carved from one arena, credit
+ * flow control, buffer writes and early ejection, source-side and
+ * in-VC discarding of fault-blocked packets, the receiver-side VC
+ * reservation handshake, the VA grant round and switch traversal. The
+ * per-arch classes keep only their policies: which VCs a head may
+ * claim, which injection VC a new packet takes, and the switch
+ * allocator. The hooks between the two are data (the VC grouping and
+ * its wire naming, set once by initInputVcs()), not virtual calls.
+ *
+ * A router is stepped once per cycle; within step() it performs its
+ * receive, allocation and traversal phases back to back. Channels are
+ * delay lines that never deliver in the cycle they were written, but
+ * the RoCo / PS reservation handshake reaches into the downstream
+ * router inside the cycle, so the step order is not free: the engine
+ * follows the distance-2 phase schedule of DESIGN §11.
  */
 #ifndef ROCOSIM_ROUTER_ROUTER_H_
 #define ROCOSIM_ROUTER_ROUTER_H_
@@ -15,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "check/invariant.h"
 #include "common/annotations.h"
 #include "common/config.h"
 #include "common/flit.h"
@@ -25,6 +39,8 @@
 #include "fault/fault.h"
 #include "obs/obs.h"
 #include "power/energy_model.h"
+#include "router/arbiter.h"
+#include "router/vc_buffer.h"
 #include "routing/routing.h"
 #include "topology/channel.h"
 #include "topology/mesh.h"
@@ -92,6 +108,37 @@ struct PacketCtl {
      * speculative grants, low-contention ones keep them.
      */
     Cycle vaGrantCycle = 0;
+};
+
+/**
+ * One input VC as views into its router's flit/ctl arenas (see
+ * Router::initInputVcs). The ctl ring holds at most depth + 1 packets
+ * — k packets in a VC imply at least k-1 tails plus one more flit
+ * buffered, so k <= depth + 1.
+ */
+struct InputVc {
+    InputVc(Flit *fbase, int depth, PacketCtl *cbase, int ctlCap)
+        : buf(fbase, depth), ctl(cbase, ctlCap)
+    {}
+
+    VcBuffer buf;
+    RingView<PacketCtl> ctl; ///< per-packet state, front = active
+    /** Link holding the reservation handshake, Invalid when free. */
+    Direction reservedFrom = Direction::Invalid;
+    std::uint64_t reservedPacket = 0;
+    /** Link whose flits currently occupy the buffer. */
+    Direction occupantLink = Direction::Invalid;
+
+    /** True when the front packet's head awaits VC allocation. */
+    bool
+    headWaiting(Cycle now) const
+    {
+        return !ctl.empty() &&
+               ctl.front().stage == PacketCtl::Stage::VaWait &&
+               now >= ctl.front().vaEligible && !buf.empty() &&
+               isHead(buf.front().type) &&
+               buf.front().packetId == ctl.front().owner;
+    }
 };
 
 /** Upstream-side state of one downstream virtual channel. */
@@ -208,8 +255,8 @@ class Router
      * records (@p fromDir, @p packetId). @p freeSpace reports the
      * buffer slots available to the reserver at grant time.
      * The reservation clears when the packet's tail flit is written
-     * into the buffer. Default implementation panics (the generic
-     * router keeps classic per-link VC state).
+     * into the buffer. Only the pooled designs (RoCo / PS) call it;
+     * the generic router's per-link VCs need no referee.
      *
      * Runs inside the *upstream* router's alloc phase — it is the one
      * sanctioned way a step reaches into a neighbour's NOC_OWNED_STATE,
@@ -218,17 +265,18 @@ class Router
      * NOC_RACE_CHECK validator in par/race_check.h).
      */
     NOC_PHASE_FN(alloc)
-    virtual bool reserveInputVc(int slotId, Direction fromDir,
-                                std::uint64_t packetId, bool probeOnly,
-                                int &freeSpace);
+    bool reserveInputVc(int slotId, Direction fromDir,
+                        std::uint64_t packetId, bool probeOnly,
+                        int &freeSpace);
 
     /** Advances the router by one clock cycle. */
     virtual void step(Cycle now) = 0;
 
     virtual RouterArch arch() const = 0;
 
-    /** Flits currently buffered in the router's input VCs. */
-    virtual int bufferedFlits() const = 0;
+    /** Flits currently buffered in the router's input VCs (and, for
+     *  the generic router, its switch-to-PE pipe). */
+    int bufferedFlits() const;
 
     NodeId id() const { return id_; }
     const ActivityCounters &activity() const { return act_; }
@@ -276,7 +324,7 @@ class Router
      * on the wire).  Zero when the slot's occupant entered via another
      * link, so the caller can attribute occupancy per upstream.
      */
-    virtual int inputVcOccupancy(Direction fromDir, int slotId) const = 0;
+    int inputVcOccupancy(Direction fromDir, int slotId) const;
 
     /**
      * Counts this router's in-flight traffic on the link behind output
@@ -311,16 +359,20 @@ class Router
 
     /**
      * Sizes the output-VC credit tables: @p slotsPerDir downstream VC
-     * slots behind each cardinal output, each starting with
-     * @p bufferDepth credits. Called from subclass constructors.
+     * slots behind each of the first @p ports outputs, each starting
+     * with @p bufferDepth credits. @p ports is kNumCardinal, or
+     * kNumPorts for the generic router, whose Local row holds its
+     * PE-side output VCs: ejection is not credit-controlled, so their
+     * credits never run out. Called from subclass constructors.
      */
-    NOC_PHASE_FN(setup) void initOutputVcs(int slotsPerDir, int bufferDepth);
-
+    NOC_PHASE_FN(setup)
+    void initOutputVcs(int ports, int slotsPerDir, int bufferDepth);
 
     OutputVc &
     outputVc(Direction d, int slot)
     {
-        NOC_ASSERT(isCardinal(d), "output VC on non-cardinal port");
+        NOC_ASSERT(static_cast<size_t>(d) * slotsPerDir_ < outVc_.size(),
+                   "output VC port range");
         NOC_ASSERT(slot >= 0 && slot < slotsPerDir_, "output slot range");
         return outVc_[static_cast<size_t>(d) * slotsPerDir_ + slot];
     }
@@ -339,14 +391,13 @@ class Router
     void sendCredit(Direction inDir, std::uint8_t vcId, Cycle now);
 
     /**
-     * Drains the credit-return channel of every connected port.
-     * Counter-gated: ports whose occupancy mirror reads zero are
-     * skipped without touching the channel object.
+     * Drains the credit-return channel of every connected port into the
+     * output-VC credit tables. Counter-gated: ports whose occupancy
+     * mirror reads zero are skipped without touching the channel object.
      */
-    template <typename ApplyFn>
     NOC_PHASE_FN(recv)
     void
-    receiveCredits(Cycle now, ApplyFn &&apply)
+    receiveCredits(Cycle now)
     {
         for (int d = 0; d < kNumCardinal; ++d) {
             std::atomic<std::uint16_t> &pend = pendCreditIn_[d];
@@ -357,7 +408,11 @@ class Router
                        "credit mirror set on a wireless port");
             const int got = ports_[d].creditIn->drainDue(
                 now, [&](const Credit &c) {
-                    apply(static_cast<Direction>(d), c.vc);
+                    OutputVc &o = outputVc(static_cast<Direction>(d), c.vc);
+                    ++o.credits;
+                    --o.outstanding;
+                    NOC_ASSERT(o.credits <= outVcDepth_, "credit overflow");
+                    NOC_ASSERT(o.outstanding >= 0, "credit without a send");
                 });
             pend.store(static_cast<std::uint16_t>(n - got),
                        std::memory_order_relaxed);
@@ -392,6 +447,170 @@ class Router
                        pend.load(std::memory_order_relaxed) - 1),
                    std::memory_order_relaxed);
     }
+
+    // --- input unit ---------------------------------------------------
+
+    /** Output slot sentinel: the flit ejects at the next router (early
+     *  ejection), so no downstream VC is held. */
+    static constexpr int kEjectSlot = -2;
+
+    /**
+     * Carves @p count input VCs of @p depth flits out of two contiguous
+     * arenas, sized once so the views stay valid for the router's
+     * lifetime. Index i names VC i % vcsPerPort of group
+     * i / @p groupSize — a RoCo module, a PS quadrant path set, or (one
+     * group) the generic router's ports. @p groupOutputs[g] is the set
+     * of output directions (bit per Direction) group g serves; guided
+     * queuing never buffers a flit anywhere else.
+     *
+     * @p perLinkVcs selects the generic organisation: every VC belongs
+     * to one input link, wire slot ids are per-link VC indices, heads
+     * are routed at VA rather than one hop ahead, and no reservation
+     * handshake runs. Otherwise (RoCo / PS) the VCs are pooled path
+     * sets named router-wide on the wire, heads carry their look-ahead
+     * route, and the downstream router referees every slot.
+     */
+    NOC_PHASE_FN(setup)
+    void initInputVcs(int count, int depth, int groupSize, bool perLinkVcs,
+                      std::vector<std::uint8_t> groupOutputs = {});
+
+    /** Input VC index of wire slot @p slot arriving over @p fromDir. */
+    int
+    inputIndex(Direction fromDir, int slot) const
+    {
+        return perLinkVcs_ ? static_cast<int>(fromDir) * numVcs_ + slot
+                           : slot;
+    }
+    /** Wire slot id of input VC @p i (what the upstream calls it). */
+    std::uint8_t
+    wireSlot(int i) const
+    {
+        return static_cast<std::uint8_t>(perLinkVcs_ ? i % numVcs_ : i);
+    }
+
+    /**
+     * Buffers @p f (arrived from @p srcDir) into input VC @p i. A head
+     * opens a PacketCtl; under look-ahead routing it is latched with
+     * its next-hop route, marked for discarding when every minimal next
+     * hop is behind a hard fault, and marked Active at once when it
+     * ejects at the next router.
+     */
+    NOC_PHASE_FN(recv)
+    void bufferFlit(int i, const Flit &f, Direction srcDir, Cycle now);
+
+    /** Buffers every due link arrival; look-ahead flits bound for this
+     *  PE eject straight off the demux (early ejection). */
+    NOC_PHASE_FN(recv) void receiveFlits(Cycle now);
+
+    /**
+     * Source-side discard: consumes the NIC's front flit when it
+     * belongs to a packet already being discarded, or when it is a head
+     * and @p headBlocked (no injection path can ever serve it). True
+     * when the front flit was consumed.
+     */
+    NOC_PHASE_FN(recv) bool dropAtSource(bool headBlocked, Cycle now);
+
+    /** Moves the NIC's front body/tail flit of packet @p packetId into
+     *  the injection VC its head took, with the head's look-ahead. */
+    NOC_PHASE_FN(recv)
+    void injectFollower(std::uint64_t packetId, Cycle now);
+
+    /**
+     * Moves the NIC's front flit into input VC @p i with look-ahead
+     * @p lookahead, unless the VC is full (injection stalls).
+     */
+    NOC_PHASE_FN(recv)
+    void injectInto(int i, Direction lookahead, Cycle now);
+
+    /** Marks @p ctl's packet for discarding: every minimal next hop is
+     *  permanently blocked by a hard fault. */
+    NOC_PHASE_FN(alloc)
+    void
+    discardPacket(PacketCtl &ctl)
+    {
+        ctl.stage = PacketCtl::Stage::Drop;
+        ++dropPending_;
+    }
+
+    /** Drains discarded (fault-blocked) packets, one flit per VC per
+     *  cycle, returning credits like a normal traversal. */
+    NOC_PHASE_FN(recv) void drainDropped(Cycle now);
+
+    /**
+     * VA stage 1 for the pooled designs: among the downstream slots in
+     * @p elig behind @p outDir, the idle one the downstream router would
+     * grant to @p packetId with the most credits. Improves (@p best,
+     * @p bestCredits) in place — strictly, so ties keep the earlier
+     * candidate — and returns whether it did.
+     */
+    NOC_PHASE_FN(alloc)
+    bool pickReservableSlot(Direction outDir, std::uint64_t elig,
+                            std::uint64_t packetId, int &best,
+                            int &bestCredits);
+
+    /** Enters input VC @p i's VA request for (@p dir, @p slot); the
+     *  look-ahead @p nextLa is committed if the request wins. */
+    NOC_PHASE_FN(alloc)
+    void
+    requestVc(int i, Direction dir, int slot, Direction nextLa)
+    {
+        vaMasks_[static_cast<size_t>(dir) * slotsPerDir_ + slot] |= 1ull << i;
+        vaReqs_.push_back({i, dir, slot, nextLa});
+    }
+
+    /**
+     * VA stage 2: each requested output VC arbitrates among its
+     * requesters; the winner reserves the downstream slot (pooled
+     * designs), holds the output VC and turns Active. Returns the set
+     * of output directions (bit per Direction) that granted a VC.
+     */
+    NOC_PHASE_FN(alloc) unsigned grantVcs(Cycle now);
+
+    /** What input VC @p i asks of the switch this cycle. */
+    enum class SwitchReq : std::uint8_t { None, Committed, Speculative };
+
+    /**
+     * Switch request of occupied input VC @p i: its active packet's
+     * flit is buffered and the output VC has a credit. A head that won
+     * VA this very cycle requests speculatively and yields to
+     * committed requests.
+     */
+    SwitchReq
+    switchRequest(int i, Cycle now) const
+    {
+        const InputVc &ivc = in_[static_cast<size_t>(i)];
+        if (ivc.buf.empty())
+            return SwitchReq::None;
+        const PacketCtl &ctl = ivc.ctl.front();
+        if (ctl.stage != PacketCtl::Stage::Active ||
+            ivc.buf.front().packetId != ctl.owner)
+            return SwitchReq::None; // active packet's flits not here yet
+        if (ctl.outSlot != kEjectSlot &&
+            outputVc(ctl.outDir, ctl.outSlot).credits <= 0)
+            return SwitchReq::None;
+        return ctl.vaGrantCycle == now && isHead(ivc.buf.front().type)
+                   ? SwitchReq::Speculative
+                   : SwitchReq::Committed;
+    }
+
+    /**
+     * Stage 1 of a separable switch allocator: @p arb picks one of the
+     * @p count input VCs from @p first, committed requests before
+     * speculative ones. Returns the winner's offset or -1; @p spec
+     * tells whether the winner is speculative.
+     */
+    NOC_PHASE_FN(alloc)
+    int arbitrateGroup(int first, int count, RoundRobinArbiter &arb,
+                       Cycle now, bool &spec);
+
+    /**
+     * Switch traversal of input VC @p i's front flit toward its
+     * packet's output: the head slot is rewritten in place and sent
+     * straight from the buffer (the channel push is the only copy),
+     * the upstream gets its credit back and a tail frees the output
+     * VC. PE-bound flits of the generic router enter ejectPipe_.
+     */
+    NOC_PHASE_FN(send) void traverse(int i, Cycle now);
 
     /**
      * Whether the whole node is off-line (generic/PS under any fault).
@@ -488,6 +707,22 @@ class Router
         return neighbors_[static_cast<int>(d)];
     }
 
+    int numVcs_;  ///< VCs per input port (generic) or path set
+    int depth_ = 0; ///< flit slots per input VC
+    NOC_OWNED_STATE(recv, alloc, send)
+    std::vector<InputVc> in_;
+    /**
+     * Bit i set iff in_[i].ctl is non-empty. Every scan over input VCs
+     * walks set bits in ascending order instead of all VCs — at low
+     * load a router holds one or two packets, so the scans shrink to
+     * the VCs that can actually act.
+     */
+    NOC_OWNED_STATE(recv, send)
+    std::uint64_t ctlMask_ = 0;
+    /** Switch-to-PE delay line of designs that eject through the
+     *  crossbar (generic router); null when ejection is early. */
+    FlitChannel *ejectPipe_ = nullptr;
+
     const SimConfig &cfg_;
     const MeshTopology &topo_;
     const RoutingAlgorithm &routing_;
@@ -547,6 +782,41 @@ class Router
                     c.load(std::memory_order_relaxed) + 1),
                 std::memory_order_relaxed);
     }
+    /** Flit slots of all input VCs, carved depth_ apiece (SoA arena). */
+    std::vector<Flit> flitPool_;
+    /** PacketCtl records of all input VCs, depth_+1 apiece. */
+    std::vector<PacketCtl> ctlPool_;
+    /** Wormhole-order invariant trackers, one per input VC. */
+    std::vector<check::WormholeOrderTracker> order_;
+    int groupSize_ = 1;
+    std::vector<std::uint8_t> groupOutputs_;
+    bool perLinkVcs_ = false;
+    NOC_OWNED_STATE(recv)
+    std::uint64_t droppingPacket_ = 0; ///< source packet being discarded
+    /**
+     * Packets in Drop stage across all input VCs. drainDropped() is a
+     * no-op without them, so fault-free runs (the common case) skip it.
+     */
+    NOC_OWNED_STATE(recv, alloc)
+    int dropPending_ = 0;
+
+    /** One input VC's request in a VA round (scratch, see vaReqs_). */
+    struct VaRequest {
+        int inIdx;
+        Direction dir;
+        int slot;
+        Direction nextLa;
+    };
+    /**
+     * Per-cycle VA scratch buffers, kept as members so the every-cycle
+     * allocation round performs no heap allocation. vaMasks_ is
+     * all-zero between rounds (every set key is cleared when its
+     * arbitration fires) and grantVcs() empties vaReqs_.
+     */
+    std::vector<VaRequest> vaReqs_;
+    std::vector<std::uint64_t> vaMasks_; ///< [dir * slotsPerDir_ + slot]
+    std::vector<RoundRobinArbiter> vaArb_; ///< one per output VC
+
     std::vector<OutputVc> outVc_; ///< [dir * slotsPerDir_ + slot]
     int slotsPerDir_ = 0;
     int outVcDepth_ = 0; ///< credits a quiescent slot holds

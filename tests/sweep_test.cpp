@@ -11,6 +11,7 @@
 #include "exp/json_out.h"
 #include "exp/saturation.h"
 #include "exp/sweep.h"
+#include "farm/wire.h"
 #include "fault/fault_injector.h"
 #include "model/liveness.h"
 #include "topology/mesh.h"
@@ -92,23 +93,6 @@ TEST(SweepSpecTest, GridExpansionOrderAndFlatIndex)
     EXPECT_EQ(points[idx].cfg.arch, RouterArch::Generic);
 }
 
-bool
-sameResult(const SimResult &a, const SimResult &b)
-{
-    return a.avgLatency == b.avgLatency &&
-           a.latencyStddev == b.latencyStddev &&
-           a.maxLatency == b.maxLatency && a.p50Latency == b.p50Latency &&
-           a.p99Latency == b.p99Latency &&
-           a.throughputFlits == b.throughputFlits &&
-           a.injected == b.injected && a.delivered == b.delivered &&
-           a.completion == b.completion &&
-           a.energy.totalPj() == b.energy.totalPj() &&
-           a.energyPerPacketNj == b.energyPerPacketNj && a.edp == b.edp &&
-           a.pef == b.pef && a.cycles == b.cycles &&
-           a.timedOut == b.timedOut &&
-           a.rowContention == b.rowContention &&
-           a.colContention == b.colContention;
-}
 
 TEST(SweepRunnerTest, ParallelMatchesSerialBitExact)
 {
@@ -136,8 +120,8 @@ TEST(SweepRunnerTest, ParallelMatchesSerialBitExact)
         EXPECT_EQ(serial.results[i].index, i);
         EXPECT_EQ(pooled.results[i].index, i);
         EXPECT_EQ(serial.results[i].seed, pooled.results[i].seed);
-        EXPECT_TRUE(
-            sameResult(serial.results[i].result, pooled.results[i].result))
+        EXPECT_EQ(farm::resultBytes(serial.results[i].result),
+                  farm::resultBytes(pooled.results[i].result))
             << "point " << i << " diverged across thread counts";
     }
 }
@@ -161,8 +145,8 @@ TEST(SweepRunnerTest, BurstyTrafficDeterministicAcrossPools)
     ASSERT_EQ(serial.results.size(), spec.pointCount());
     ASSERT_EQ(pooled.results.size(), serial.results.size());
     for (std::size_t i = 0; i < serial.results.size(); ++i) {
-        EXPECT_TRUE(
-            sameResult(serial.results[i].result, pooled.results[i].result))
+        EXPECT_EQ(farm::resultBytes(serial.results[i].result),
+                  farm::resultBytes(pooled.results[i].result))
             << "bursty point " << i << " diverged across thread counts";
         EXPECT_GT(serial.results[i].result.delivered, 0u)
             << "bursty point " << i << " delivered nothing";

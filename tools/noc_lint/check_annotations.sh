@@ -16,7 +16,7 @@ repo=$(CDPATH= cd -- "$(dirname -- "$0")/../.." && pwd)
 # Files under the guarded directories that legitimately carry no phase
 # annotations: pure data, config, tables or leaf utilities that never
 # touch per-cycle router state. The src/farm sources are process
-# orchestration (journal, fork driver, socket server) around whole
+# orchestration (journal, fork driver) around whole
 # simulations — they never enter the router pipeline, so the whole
 # module is exempt; noc_lint still applies its determinism and
 # wall-clock rules to them file-by-file.
@@ -25,8 +25,6 @@ src/farm/farm.h
 src/farm/farm.cpp
 src/farm/journal.h
 src/farm/journal.cpp
-src/farm/serve.h
-src/farm/serve.cpp
 src/farm/wire.h
 src/farm/wire.cpp
 src/par/barrier.h
@@ -40,15 +38,11 @@ src/topology/mesh.cpp
 src/router/arbiter.h
 src/router/arbiter.cpp
 src/router/crossbar.h
-src/router/matching.h
-src/router/matching.cpp
 src/router/vc_buffer.h
 src/router/roco/vc_config.h
 src/router/roco/vc_config.cpp
 src/router/roco/mirror_allocator.h
 src/router/roco/mirror_allocator.cpp
-src/router/pathsensitive/pef.h
-src/router/pathsensitive/pef.cpp
 '
 
 fail=0

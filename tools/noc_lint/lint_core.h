@@ -17,11 +17,9 @@
  *                      (DESIGN section 12), marked inline with
  *                      `// noc-lint:allow(flit-copy)`
  *
- * Two engines produce the same diagnostics: a portable token-level
- * engine (this header + lint_core.cpp, no dependencies) that runs
- * everywhere, and a clang libTooling engine (clang_engine.cpp) built
- * only where Clang development headers exist. Suppression comments,
- * stale-allow detection and baseline comparison are shared.
+ * One portable token-level engine (this header + lint_core.cpp, no
+ * dependencies) produces the diagnostics, then applies suppression
+ * comments, stale-allow detection and baseline comparison.
  *
  * Rule ids:
  *   phase-cross-write      write from a function in a different phase
@@ -84,7 +82,7 @@ struct RunResult {
 RunResult runPortable(const std::vector<std::string> &paths);
 
 /**
- * Suppression shared by both engines: drops diagnostics covered by an
+ * Suppression: drops diagnostics covered by an
  * allow comment on the same or the preceding line, then reports every
  * comment that suppressed nothing as `stale-allow` ("remove dead
  * allow"). Returns sorted results.
