@@ -12,9 +12,13 @@
  * router, NIC or engine behaviour that moves a single bit of any
  * output fails here.
  *
+ * The same points' BENCH json result objects (exp::resultJson, one
+ * line per point) are compared against a second golden file, so the
+ * json writer's key order and number formatting are pinned too.
+ *
  * On a mismatch the test reports the first differing line and writes
- * the actual output next to the test binary (golden_result.actual.txt)
- * for inspection.
+ * the actual output next to the test binary (golden_result.actual.txt,
+ * golden_result_json.actual.txt) for inspection.
  */
 #include <gtest/gtest.h>
 
@@ -23,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/json_out.h"
 #include "farm/wire.h"
 #include "sim/simulator.h"
 
@@ -53,10 +58,17 @@ appendCounter(std::string &out, const char *key, std::uint64_t v)
     out += '\n';
 }
 
-/** Everything one point produced, as text. */
+/** The matrix's output: shard text plus counters, and json lines. */
+struct MatrixOutput {
+    std::string shard;
+    std::string json;
+};
+
+/** Everything one point produced, as text; its result json goes to
+ *  @p json. */
 std::string
 runPoint(std::size_t index, const SimConfig &cfg,
-         const std::vector<FaultSpec> &faults)
+         const std::vector<FaultSpec> &faults, std::string &json)
 {
     Simulator sim(cfg, faults);
     exp::PointResult pr;
@@ -64,6 +76,8 @@ runPoint(std::size_t index, const SimConfig &cfg,
     pr.seed = cfg.seed;
     pr.result = sim.run(); // wallMs stays 0: host time is not a result
     std::string out = farm::encodePointResult("golden", pr);
+    json += exp::resultJson(pr.result);
+    json += '\n';
 
     const ActivityCounters a = sim.network().totalActivity();
     appendCounter(out, "act.bufferWrites", a.bufferWrites);
@@ -86,10 +100,11 @@ runPoint(std::size_t index, const SimConfig &cfg,
     return out;
 }
 
-std::string
+MatrixOutput
 runMatrix()
 {
-    std::string out;
+    MatrixOutput m;
+    std::string &out = m.shard;
     std::size_t index = 0;
     for (RouterArch arch : {RouterArch::Roco, RouterArch::Generic,
                             RouterArch::PathSensitive}) {
@@ -114,12 +129,13 @@ runMatrix()
                            (closed ? "closed@0.3" : "open@0.2") + '\n';
                     out += runPoint(index++, cfg,
                                     faulty ? fixedCriticalFaults()
-                                           : std::vector<FaultSpec>{});
+                                           : std::vector<FaultSpec>{},
+                                    m.json);
                 }
             }
         }
     }
-    return out;
+    return m;
 }
 
 std::vector<std::string>
@@ -132,19 +148,21 @@ splitLines(const std::string &text)
     return lines;
 }
 
-TEST(GoldenResultTest, WholeResultsMatchTheGoldenFile)
+/** Compares @p actual with the golden file at @p path, naming the first
+ *  differing line and writing @p actual to @p actualName on mismatch. */
+void
+expectMatchesGolden(const char *path, const std::string &actual,
+                    const char *actualName)
 {
-    std::ifstream in(GOLDEN_RESULT_FILE);
-    ASSERT_TRUE(in.good()) << "cannot read " << GOLDEN_RESULT_FILE;
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "cannot read " << path;
     std::ostringstream golden;
     golden << in.rdbuf();
-
-    const std::string actual = runMatrix();
     if (actual == golden.str())
         return;
 
     const std::string actualPath =
-        std::string(GOLDEN_RESULT_ACTUAL_DIR) + "/golden_result.actual.txt";
+        std::string(GOLDEN_RESULT_ACTUAL_DIR) + "/" + actualName;
     std::ofstream(actualPath) << actual;
 
     const std::vector<std::string> want = splitLines(golden.str());
@@ -158,12 +176,21 @@ TEST(GoldenResultTest, WholeResultsMatchTheGoldenFile)
         if (got[j].rfind("point ", 0) == 0)
             cell = got[j];
     }
-    ADD_FAILURE() << "first difference at line " << i + 1 << " in " << cell
-                  << "\n  golden: "
+    ADD_FAILURE() << path << ": first difference at line " << i + 1
+                  << " in " << cell << "\n  golden: "
                   << (i < want.size() ? want[i] : "<end of file>")
                   << "\n  actual: "
                   << (i < got.size() ? got[i] : "<end of output>")
                   << "\nactual output written to " << actualPath;
+}
+
+TEST(GoldenResultTest, WholeResultsMatchTheGoldenFile)
+{
+    const MatrixOutput m = runMatrix();
+    expectMatchesGolden(GOLDEN_RESULT_FILE, m.shard,
+                        "golden_result.actual.txt");
+    expectMatchesGolden(GOLDEN_RESULT_JSON_FILE, m.json,
+                        "golden_result_json.actual.txt");
 }
 
 } // namespace
