@@ -39,6 +39,7 @@
 #include <unistd.h>
 
 #include "bench_util.h"
+#include "farm/wire.h"
 #include "fault/fault_injector.h"
 #include "obs/obs.h"
 #include "obs/recorder.h"
@@ -80,9 +81,7 @@ comparePools(const exp::SweepResults &serial, const exp::SweepResults &pooled)
     for (std::size_t i = 0; i < serial.results.size(); ++i) {
         const SimResult &a = serial.results[i].result;
         const SimResult &b = pooled.results[i].result;
-        if (a.avgLatency != b.avgLatency || a.cycles != b.cycles ||
-            a.delivered != b.delivered ||
-            a.energyPerPacketNj != b.energyPerPacketNj) {
+        if (farm::resultBytes(a) != farm::resultBytes(b)) {
             std::fprintf(stderr, "point %zu diverged across pools\n", i);
             ++bad;
         }
@@ -230,15 +229,7 @@ shardRunsIdentical(const ShardRun &a, const ShardRun &b)
             a.ledger.retiredByClass[c] != b.ledger.retiredByClass[c])
             return false;
     }
-    return a.r.avgLatency == b.r.avgLatency &&
-           a.r.maxLatency == b.r.maxLatency &&
-           a.r.p99Latency == b.r.p99Latency &&
-           a.r.throughputFlits == b.r.throughputFlits &&
-           a.r.injected == b.r.injected &&
-           a.r.delivered == b.r.delivered &&
-           a.r.completion == b.r.completion &&
-           a.r.energyPerPacketNj == b.r.energyPerPacketNj &&
-           a.r.cycles == b.r.cycles && a.r.timedOut == b.r.timedOut &&
+    return farm::resultBytes(a.r) == farm::resultBytes(b.r) &&
            a.ledger.created == b.ledger.created &&
            a.ledger.retired == b.ledger.retired &&
            a.ledger.lastDelivery == b.ledger.lastDelivery &&
@@ -342,10 +333,7 @@ checkShardSpeedup()
                            .count());
         shardedR = r4;
     }
-    bool same = serialR.avgLatency == shardedR.avgLatency &&
-                serialR.delivered == shardedR.delivered &&
-                serialR.cycles == shardedR.cycles &&
-                serialR.energyPerPacketNj == shardedR.energyPerPacketNj;
+    bool same = farm::resultBytes(serialR) == farm::resultBytes(shardedR);
     double speedup = serialMs / shardedMs;
     unsigned hw = std::thread::hardware_concurrency();
     std::printf("bench_smoke: 16x16 speedup at 4 shards: %.2fx "
@@ -410,9 +398,7 @@ checkThroughputRegression()
     }
 
     int bad = 0;
-    if (onR.avgLatency != offR.avgLatency || onR.cycles != offR.cycles ||
-        onR.delivered != offR.delivered ||
-        onR.energyPerPacketNj != offR.energyPerPacketNj) {
+    if (farm::resultBytes(onR) != farm::resultBytes(offR)) {
         std::fprintf(stderr, "idle-skip on/off results diverged\n");
         ++bad;
     }
@@ -548,9 +534,7 @@ checkRecorderInert()
     traced.attachObserver(rec);
     SimResult b = traced.run();
 
-    if (a.avgLatency != b.avgLatency || a.cycles != b.cycles ||
-        a.delivered != b.delivered ||
-        a.energyPerPacketNj != b.energyPerPacketNj) {
+    if (farm::resultBytes(a) != farm::resultBytes(b)) {
         std::fprintf(stderr, "recorder perturbed simulation results\n");
         return 1;
     }

@@ -202,7 +202,7 @@ checkKneeDeterminism(std::string &kneeJson)
         std::printf("bench_svc_smoke: knee search identical at 1 and 4 "
                     "threads (%zu series)\n", serial.knees.size());
 
-    kneeJson = "[";
+    kneeJson = '['; // a char: GCC 12 flags `= "["` here (-Wrestrict)
     for (std::size_t i = 0; i < serial.knees.size(); ++i) {
         const exp::KneeEstimate &k = serial.knees[i];
         char buf[160];

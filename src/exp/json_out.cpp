@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 namespace noc::exp {
 namespace {
@@ -56,91 +57,60 @@ appendStr(std::string &out, const std::string &s)
     out += '"';
 }
 
-void
-appendField(std::string &out, const char *key, double v, bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendNum(out, v);
-    if (!last)
-        out += ", ";
-}
+template <class T> void appendObject(std::string &out, const T &r);
 
-void
-appendField(std::string &out, const char *key, std::uint64_t v,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendNum(out, v);
-    if (!last)
-        out += ", ";
-}
+/**
+ * Writes `"key": value` pairs, ", "-separated: every json field goes
+ * through here, and forEachField walks a result through it. Strings
+ * are quoted, bools are true/false, lists become arrays and structs
+ * (SimResult, EnergyBreakdown, ClassResult) nested objects.
+ */
+struct JsonFields {
+    std::string &out;
+    bool first = true;
 
-void
-appendResult(std::string &out, const SimResult &r)
-{
-    out += "{";
-    appendField(out, "avgLatency", r.avgLatency);
-    appendField(out, "latencyStddev", r.latencyStddev);
-    appendField(out, "maxLatency", r.maxLatency);
-    appendField(out, "p50Latency", r.p50Latency);
-    appendField(out, "p99Latency", r.p99Latency);
-    appendField(out, "throughputFlits", r.throughputFlits);
-    appendField(out, "injected", r.injected);
-    appendField(out, "delivered", r.delivered);
-    appendField(out, "completion", r.completion);
-    out += "\"energy\": {";
-    appendField(out, "bufferPj", r.energy.bufferPj);
-    appendField(out, "crossbarPj", r.energy.crossbarPj);
-    appendField(out, "arbiterPj", r.energy.arbiterPj);
-    appendField(out, "routingPj", r.energy.routingPj);
-    appendField(out, "linkPj", r.energy.linkPj);
-    appendField(out, "leakagePj", r.energy.leakagePj, true);
-    out += "}, ";
-    appendField(out, "energyPerPacketNj", r.energyPerPacketNj);
-    appendField(out, "edp", r.edp);
-    appendField(out, "pef", r.pef);
-    appendField(out, "cycles", static_cast<std::uint64_t>(r.cycles));
-    if (!r.classes.empty()) {
-        // Service-mode per-class block (schema 3). Omitted entirely
-        // for open-loop runs so their output is byte-stable vs schema 2
-        // apart from the version bump.
-        out += "\"classes\": [";
-        for (std::size_t c = 0; c < r.classes.size(); ++c) {
-            const SimResult::ClassResult &cr = r.classes[c];
-            if (c)
-                out += ", ";
-            out += "{\"name\": ";
-            appendStr(out, cr.name);
-            out += ", ";
-            appendField(out, "injected", cr.injected);
-            appendField(out, "delivered", cr.delivered);
-            appendField(out, "avgLatency", cr.avgLatency);
-            appendField(out, "p50Latency", cr.p50Latency);
-            appendField(out, "p99Latency", cr.p99Latency);
-            appendField(out, "avgRtt", cr.avgRtt);
-            appendField(out, "p99Rtt", cr.p99Rtt);
-            appendField(out, "rttCount", cr.rttCount);
-            appendField(out, "sloViolations", cr.sloViolations, true);
-            out += "}";
-        }
-        out += "], ";
-        appendField(out, "replyCount", r.replyCount);
-        appendField(out, "mshrThrottled", r.mshrThrottled);
-        appendField(out, "svcTimeouts", r.svcTimeouts);
-        appendField(out, "svcLateReplies", r.svcLateReplies);
-        appendField(out, "drainCycles",
-                    static_cast<std::uint64_t>(r.drainCycles));
+    void
+    key(const char *k)
+    {
+        out += first ? "\"" : ", \"";
+        first = false;
+        out += k;
+        out += "\": ";
     }
-    out += "\"timedOut\": ";
-    out += r.timedOut ? "true" : "false";
-    out += ", ";
-    appendField(out, "rowContention", r.rowContention);
-    appendField(out, "colContention", r.colContention, true);
-    out += "}";
+
+    template <class T>
+    void
+    operator()(const char *k, const T &v)
+    {
+        key(k);
+        if constexpr (std::is_same_v<T, bool>) {
+            out += v ? "true" : "false";
+        } else if constexpr (std::is_convertible_v<T, std::string>) {
+            appendStr(out, v);
+        } else if constexpr (std::is_arithmetic_v<T>) {
+            appendNum(out, v);
+        } else if constexpr (requires { v.size(); }) {
+            out += '[';
+            for (std::size_t i = 0; i < v.size(); ++i) {
+                if (i)
+                    out += ", ";
+                appendObject(out, v[i]);
+            }
+            out += ']';
+        } else {
+            appendObject(out, v);
+        }
+    }
+};
+
+/** A SimResult, EnergyBreakdown or ClassResult as a json object. */
+template <class T>
+void
+appendObject(std::string &out, const T &r)
+{
+    out += '{';
+    forEachField(r, JsonFields{out});
+    out += '}';
 }
 
 /** One histogram as {count, overflow, min, max, mean, pXX...}. */
@@ -148,15 +118,16 @@ void
 appendHistogram(std::string &out, const obs::HdrHistogram &h)
 {
     out += "{";
-    appendField(out, "count", h.count());
-    appendField(out, "overflow", h.overflow());
-    appendField(out, "min", h.min());
-    appendField(out, "max", h.max());
-    appendField(out, "mean", h.mean());
-    appendField(out, "p50", h.percentile(0.50));
-    appendField(out, "p90", h.percentile(0.90));
-    appendField(out, "p99", h.percentile(0.99));
-    appendField(out, "p999", h.percentile(0.999), true);
+    JsonFields f{out};
+    f("count", h.count());
+    f("overflow", h.overflow());
+    f("min", h.min());
+    f("max", h.max());
+    f("mean", h.mean());
+    f("p50", h.percentile(0.50));
+    f("p90", h.percentile(0.90));
+    f("p99", h.percentile(0.99));
+    f("p999", h.percentile(0.999));
     out += "}";
 }
 
@@ -198,12 +169,15 @@ appendObs(std::string &out, const obs::Summary &s)
         appendNum(out, s.counters.events[st]);
     }
     out += "},\n    ";
-    appendField(out, "sampledPackets", s.counters.sampledPackets);
-    appendField(out, "ringDropped", s.counters.ringDropped);
-    appendField(out, "occupancySamples", s.counters.occupancySamples);
-    out += "\"pathSetOccupancy\": {";
-    appendField(out, "row", s.occupancyAvg(0));
-    appendField(out, "col", s.occupancyAvg(1), true);
+    JsonFields f{out};
+    f("sampledPackets", s.counters.sampledPackets);
+    f("ringDropped", s.counters.ringDropped);
+    f("occupancySamples", s.counters.occupancySamples);
+    f.key("pathSetOccupancy");
+    out += "{";
+    JsonFields occ{out};
+    occ("row", s.occupancyAvg(0));
+    occ("col", s.occupancyAvg(1));
     out += "}\n  }";
 }
 
@@ -214,7 +188,7 @@ resultJson(const SimResult &r)
 {
     std::string out;
     out.reserve(640);
-    appendResult(out, r);
+    appendObject(out, r);
     return out;
 }
 
@@ -253,39 +227,32 @@ pointJson(const SweepPoint &p, const PointResult &r, const JsonOptions &opts)
     std::string out;
     out.reserve(640);
     out += "    {";
-    appendField(out, "index", static_cast<std::uint64_t>(p.index));
-    out += "\"arch\": ";
-    appendStr(out, toString(p.cfg.arch));
-    out += ", \"routing\": ";
-    appendStr(out, toString(p.cfg.routing));
-    out += ", \"traffic\": ";
-    appendStr(out, toString(p.cfg.traffic));
-    out += ", ";
-    appendField(out, "rate", p.cfg.injectionRate);
-    out += "\"faults\": ";
-    appendStr(out, p.faultLabel);
-    out += ", ";
-    appendField(out, "seed", r.seed);
-    appendField(out, "wallMs", opts.canonical ? 0.0 : r.wallMs);
+    JsonFields f{out};
+    f("index", static_cast<std::uint64_t>(p.index));
+    f("arch", toString(p.cfg.arch));
+    f("routing", toString(p.cfg.routing));
+    f("traffic", toString(p.cfg.traffic));
+    f("rate", p.cfg.injectionRate);
+    f("faults", p.faultLabel);
+    f("seed", r.seed);
+    f("wallMs", opts.canonical ? 0.0 : r.wallMs);
     if (opts.jobIds != nullptr && p.index < opts.jobIds->size()) {
-        out += "\"job\": {\"id\": ";
-        appendStr(out, (*opts.jobIds)[p.index]);
+        f.key("job");
+        out += "{";
+        JsonFields job{out};
+        job("id", (*opts.jobIds)[p.index]);
         if (opts.provenance != nullptr &&
             p.index < opts.provenance->size()) {
             const JsonOptions::PointProvenance &pv =
                 (*opts.provenance)[p.index];
-            out += ", ";
-            appendField(out, "attempt",
-                        static_cast<std::uint64_t>(pv.attempt));
-            appendField(out, "worker",
-                        static_cast<std::uint64_t>(
-                            pv.worker < 0 ? 0 : pv.worker));
-            appendField(out, "wallMs", pv.wallMs, true);
+            job("attempt", static_cast<std::uint64_t>(pv.attempt));
+            job("worker",
+                static_cast<std::uint64_t>(pv.worker < 0 ? 0 : pv.worker));
+            job("wallMs", pv.wallMs);
         }
-        out += "}, ";
+        out += "}";
     }
-    out += "\"result\": ";
-    appendResult(out, r.result);
+    f("result", r.result);
     out += "}";
     return out;
 }

@@ -72,13 +72,14 @@ struct JsonOptions {
  *   "points": [
  *     { "index": i, "arch": "...", "routing": "...", "traffic": "...",
  *       "rate": r, "faults": "<label>", "seed": s, "wallMs": w,
- *       "result": { ...every SimResult field, energy nested... } },
+ *       "result": { ...every SimResult field, in forEachField order
+ *                   (sim/simulator.h), energy nested... } },
  *     ...
  *   ]
  * }
  * @endcode
  *
- * Version history: schema 3 added the optional per-result "classes"
+ * Version history: schema 3 added the optional per-result classes
  * block for closed-loop service runs (cfg.svc.enabled): one entry per
  * message class — {name, injected, delivered, avgLatency, p50Latency,
  * p99Latency, avgRtt, p99Rtt, rttCount, sloViolations} — plus the

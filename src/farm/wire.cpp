@@ -1,10 +1,12 @@
 #include "farm/wire.h"
 
 #include <cctype>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "common/flit.h"
 
@@ -19,26 +21,6 @@ encodeDouble(double v)
 }
 
 namespace {
-
-void
-line(std::string &out, const char *key, double v)
-{
-    out += key;
-    out += ' ';
-    out += encodeDouble(v);
-    out += '\n';
-}
-
-void
-line(std::string &out, const char *key, std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    out += key;
-    out += ' ';
-    out += buf;
-    out += '\n';
-}
 
 /**
  * One `key value` line reader over the shard bytes. Values never
@@ -104,65 +86,111 @@ internClassName(const std::string &s)
     return nullptr;
 }
 
+/**
+ * The shard's lines in order: the point-level fields, then the
+ * SimResult field table. @p d is const to encode, mutable to decode.
+ */
+template <class D, class V>
+void
+forEachShardField(D &d, V &&v)
+{
+    v("job", d.jobId);
+    v("attempt", d.attempt);
+    v("worker", d.worker);
+    v("index", d.point.index);
+    v("seed", d.point.seed);
+    v("wallMs", d.point.wallMs);
+    forEachField(d.point.result, v);
+}
+
+using ClassList = std::vector<SimResult::ClassResult>;
+
+/** Writes one `key value` line per field: energy members as
+ *  `energy.<key>`, each class as a `class <name>` line, then its
+ *  members as `c.<key>`. Doubles in %a, integers and bools in decimal. */
+struct ShardWriter {
+    std::string &out;
+    std::string prefix;
+
+    template <class T>
+    void
+    operator()(const char *key, const T &v)
+    {
+        if constexpr (std::is_same_v<T, EnergyBreakdown>) {
+            forEachField(v, ShardWriter{out, prefix + key + '.'});
+        } else if constexpr (std::is_same_v<T, ClassList>) {
+            for (const SimResult::ClassResult &c : v)
+                forEachField(c, ShardWriter{out, "c."});
+        } else if constexpr (std::is_same_v<T, const char *>) {
+            out += std::string("class ") + v + '\n'; // opens a class block
+        } else {
+            out += prefix + key + ' ';
+            if constexpr (std::is_same_v<T, double>)
+                out += encodeDouble(v);
+            else if constexpr (std::is_same_v<T, std::string>)
+                out += v;
+            else
+                out += std::to_string(static_cast<std::uint64_t>(v));
+            out += '\n';
+        }
+    }
+};
+
+/** Parses @p value into the field whose shard key is @p key; `ok`
+ *  stays false for an unknown key or a malformed value. */
+struct ShardReader {
+    const std::string &key;
+    const std::string &value;
+    std::string prefix;
+    bool ok = false;
+
+    bool
+    named(const char *k) const
+    {
+        return key.size() == prefix.size() + std::strlen(k) &&
+               key.compare(0, prefix.size(), prefix) == 0 &&
+               key.compare(prefix.size(), std::string::npos, k) == 0;
+    }
+
+    template <class T>
+    void
+    operator()(const char *k, T &v)
+    {
+        if constexpr (std::is_same_v<T, EnergyBreakdown>) {
+            prefix = std::string(k) + '.';
+            forEachField(v, *this);
+            prefix.clear();
+        } else if constexpr (std::is_same_v<T, ClassList>) {
+            prefix = "c."; // into the block the last `class` line opened
+            forEachField(v.back(), *this);
+            prefix.clear();
+        } else if constexpr (std::is_same_v<T, const char *>) {
+            // The class name is set by the `class` line itself.
+        } else if (named(k)) {
+            if constexpr (std::is_same_v<T, double>) {
+                ok = parseDouble(value, v);
+            } else if constexpr (std::is_same_v<T, std::string>) {
+                v = value;
+                ok = !v.empty();
+            } else {
+                std::uint64_t u = 0;
+                ok = parseU64(value, u) && u <= std::numeric_limits<T>::max();
+                v = static_cast<T>(u);
+            }
+        }
+    }
+};
+
 } // namespace
 
 std::string
 encodePointResult(const std::string &jobId, const exp::PointResult &r,
                   std::uint32_t attempt, int worker)
 {
-    std::string out;
+    const DecodedShard d{jobId, attempt, worker < 0 ? 0 : worker, r};
+    std::string out = "rocosim-shard 1\n";
     out.reserve(1024);
-    out += "rocosim-shard 1\n";
-    out += "job " + jobId + "\n";
-    line(out, "attempt", static_cast<std::uint64_t>(attempt));
-    line(out, "worker", static_cast<std::uint64_t>(worker < 0 ? 0 : worker));
-    line(out, "index", static_cast<std::uint64_t>(r.index));
-    line(out, "seed", r.seed);
-    line(out, "wallMs", r.wallMs);
-    const SimResult &s = r.result;
-    line(out, "avgLatency", s.avgLatency);
-    line(out, "latencyStddev", s.latencyStddev);
-    line(out, "maxLatency", s.maxLatency);
-    line(out, "p50Latency", s.p50Latency);
-    line(out, "p99Latency", s.p99Latency);
-    line(out, "throughputFlits", s.throughputFlits);
-    line(out, "injected", s.injected);
-    line(out, "delivered", s.delivered);
-    line(out, "completion", s.completion);
-    line(out, "energy.bufferPj", s.energy.bufferPj);
-    line(out, "energy.crossbarPj", s.energy.crossbarPj);
-    line(out, "energy.arbiterPj", s.energy.arbiterPj);
-    line(out, "energy.routingPj", s.energy.routingPj);
-    line(out, "energy.linkPj", s.energy.linkPj);
-    line(out, "energy.leakagePj", s.energy.leakagePj);
-    line(out, "energyPerPacketNj", s.energyPerPacketNj);
-    line(out, "edp", s.edp);
-    line(out, "pef", s.pef);
-    line(out, "cycles", static_cast<std::uint64_t>(s.cycles));
-    line(out, "timedOut", static_cast<std::uint64_t>(s.timedOut ? 1 : 0));
-    line(out, "rowContention", s.rowContention);
-    line(out, "colContention", s.colContention);
-    for (const SimResult::ClassResult &c : s.classes) {
-        out += "class ";
-        out += c.name;
-        out += '\n';
-        line(out, "c.injected", c.injected);
-        line(out, "c.delivered", c.delivered);
-        line(out, "c.avgLatency", c.avgLatency);
-        line(out, "c.p50Latency", c.p50Latency);
-        line(out, "c.p99Latency", c.p99Latency);
-        line(out, "c.avgRtt", c.avgRtt);
-        line(out, "c.p99Rtt", c.p99Rtt);
-        line(out, "c.rttCount", c.rttCount);
-        line(out, "c.sloViolations", c.sloViolations);
-    }
-    if (!s.classes.empty()) {
-        line(out, "replyCount", s.replyCount);
-        line(out, "mshrThrottled", s.mshrThrottled);
-        line(out, "svcTimeouts", s.svcTimeouts);
-        line(out, "svcLateReplies", s.svcLateReplies);
-        line(out, "drainCycles", static_cast<std::uint64_t>(s.drainCycles));
-    }
+    forEachShardField(d, ShardWriter{out, ""});
     out += "end\n";
     return out;
 }
@@ -184,188 +212,24 @@ decodePointResult(const std::string &bytes)
         return std::nullopt;
 
     DecodedShard d;
-    exp::PointResult &r = d.point;
-    SimResult &s = r.result;
-    SimResult::ClassResult *cls = nullptr;
-    bool sawEnd = false;
-
-    auto d64 = [](const std::string &v, double &dst) {
-        return parseDouble(v, dst);
-    };
-    auto u64 = [](const std::string &v, std::uint64_t &dst) {
-        return parseU64(v, dst);
-    };
-
     while (rd.next(key, value)) {
-        bool ok = true;
-        std::uint64_t u = 0;
-        if (key == "end") {
-            sawEnd = true;
-            break;
-        } else if (key == "job") {
-            d.jobId = value;
-            ok = !value.empty();
-        } else if (key == "attempt") {
-            ok = u64(value, u);
-            d.attempt = static_cast<std::uint32_t>(u);
-        } else if (key == "worker") {
-            ok = u64(value, u);
-            d.worker = static_cast<int>(u);
-        } else if (key == "index") {
-            ok = u64(value, u);
-            r.index = static_cast<std::size_t>(u);
-        } else if (key == "seed") {
-            ok = u64(value, r.seed);
-        } else if (key == "wallMs") {
-            ok = d64(value, r.wallMs);
-        } else if (key == "avgLatency") {
-            ok = d64(value, s.avgLatency);
-        } else if (key == "latencyStddev") {
-            ok = d64(value, s.latencyStddev);
-        } else if (key == "maxLatency") {
-            ok = d64(value, s.maxLatency);
-        } else if (key == "p50Latency") {
-            ok = d64(value, s.p50Latency);
-        } else if (key == "p99Latency") {
-            ok = d64(value, s.p99Latency);
-        } else if (key == "throughputFlits") {
-            ok = d64(value, s.throughputFlits);
-        } else if (key == "injected") {
-            ok = u64(value, s.injected);
-        } else if (key == "delivered") {
-            ok = u64(value, s.delivered);
-        } else if (key == "completion") {
-            ok = d64(value, s.completion);
-        } else if (key == "energy.bufferPj") {
-            ok = d64(value, s.energy.bufferPj);
-        } else if (key == "energy.crossbarPj") {
-            ok = d64(value, s.energy.crossbarPj);
-        } else if (key == "energy.arbiterPj") {
-            ok = d64(value, s.energy.arbiterPj);
-        } else if (key == "energy.routingPj") {
-            ok = d64(value, s.energy.routingPj);
-        } else if (key == "energy.linkPj") {
-            ok = d64(value, s.energy.linkPj);
-        } else if (key == "energy.leakagePj") {
-            ok = d64(value, s.energy.leakagePj);
-        } else if (key == "energyPerPacketNj") {
-            ok = d64(value, s.energyPerPacketNj);
-        } else if (key == "edp") {
-            ok = d64(value, s.edp);
-        } else if (key == "pef") {
-            ok = d64(value, s.pef);
-        } else if (key == "cycles") {
-            ok = u64(value, u);
-            s.cycles = u;
-        } else if (key == "timedOut") {
-            ok = u64(value, u) && u <= 1;
-            s.timedOut = u != 0;
-        } else if (key == "rowContention") {
-            ok = d64(value, s.rowContention);
-        } else if (key == "colContention") {
-            ok = d64(value, s.colContention);
-        } else if (key == "class") {
+        if (key == "end")
+            return d.jobId.empty() ? std::nullopt : std::optional(std::move(d));
+        if (key == "class") {
             const char *name = internClassName(value);
             if (name == nullptr)
                 return std::nullopt;
-            s.classes.emplace_back();
-            cls = &s.classes.back();
-            cls->name = name;
-        } else if (key.rfind("c.", 0) == 0) {
-            if (cls == nullptr)
-                return std::nullopt; // class field before any "class"
-            if (key == "c.injected")
-                ok = u64(value, cls->injected);
-            else if (key == "c.delivered")
-                ok = u64(value, cls->delivered);
-            else if (key == "c.avgLatency")
-                ok = d64(value, cls->avgLatency);
-            else if (key == "c.p50Latency")
-                ok = d64(value, cls->p50Latency);
-            else if (key == "c.p99Latency")
-                ok = d64(value, cls->p99Latency);
-            else if (key == "c.avgRtt")
-                ok = d64(value, cls->avgRtt);
-            else if (key == "c.p99Rtt")
-                ok = d64(value, cls->p99Rtt);
-            else if (key == "c.rttCount")
-                ok = u64(value, cls->rttCount);
-            else if (key == "c.sloViolations")
-                ok = u64(value, cls->sloViolations);
-            else
-                ok = false;
-        } else if (key == "replyCount") {
-            ok = u64(value, s.replyCount);
-        } else if (key == "mshrThrottled") {
-            ok = u64(value, s.mshrThrottled);
-        } else if (key == "svcTimeouts") {
-            ok = u64(value, s.svcTimeouts);
-        } else if (key == "svcLateReplies") {
-            ok = u64(value, s.svcLateReplies);
-        } else if (key == "drainCycles") {
-            ok = u64(value, u);
-            s.drainCycles = u;
-        } else {
-            ok = false; // unknown field: version skew, reject the shard
+            d.point.result.classes.push_back({.name = name});
+            continue;
         }
-        if (!ok)
-            return std::nullopt;
+        // A `c.` line before any `class` line finds no field: the
+        // classes list is walked only once it is non-empty.
+        ShardReader field{key, value, ""};
+        forEachShardField(d, field);
+        if (!field.ok)
+            return std::nullopt; // unknown field (version skew) or bad value
     }
-    if (!sawEnd || d.jobId.empty())
-        return std::nullopt;
-    return d;
-}
-
-std::optional<RouterArch>
-parseArch(const std::string &s)
-{
-    if (s == "generic")
-        return RouterArch::Generic;
-    if (s == "ps" || s == "pathsensitive")
-        return RouterArch::PathSensitive;
-    if (s == "roco")
-        return RouterArch::Roco;
-    return std::nullopt;
-}
-
-std::optional<RoutingKind>
-parseRouting(const std::string &s)
-{
-    if (s == "xy")
-        return RoutingKind::XY;
-    if (s == "xyyx")
-        return RoutingKind::XYYX;
-    if (s == "adaptive")
-        return RoutingKind::Adaptive;
-    return std::nullopt;
-}
-
-std::optional<TrafficKind>
-parseTraffic(const std::string &s)
-{
-    if (s == "uniform")
-        return TrafficKind::Uniform;
-    if (s == "transpose")
-        return TrafficKind::Transpose;
-    if (s == "bitcomp")
-        return TrafficKind::BitComplement;
-    if (s == "hotspot")
-        return TrafficKind::Hotspot;
-    if (s == "tornado")
-        return TrafficKind::Tornado;
-    if (s == "neighbor")
-        return TrafficKind::NearestNeighbor;
-    if (s == "selfsimilar")
-        return TrafficKind::SelfSimilar;
-    if (s == "mpeg")
-        return TrafficKind::Mpeg;
-    if (s == "bitreverse")
-        return TrafficKind::BitReverse;
-    if (s == "shuffle")
-        return TrafficKind::Shuffle;
-    if (s == "trace")
-        return TrafficKind::Trace;
-    return std::nullopt;
+    return std::nullopt; // no `end` trailer: torn write
 }
 
 const char *
@@ -407,6 +271,42 @@ wireName(TrafficKind t)
     case TrafficKind::Trace: return "trace";
     }
     return "uniform";
+}
+
+namespace {
+
+/** The enumerator of E, numbered 0..@p last, whose wireName is @p s. */
+template <class E>
+std::optional<E>
+parseWireName(const std::string &s, E last)
+{
+    for (int i = 0; i <= static_cast<int>(last); ++i) {
+        if (s == wireName(static_cast<E>(i)))
+            return static_cast<E>(i);
+    }
+    return std::nullopt;
+}
+
+} // namespace
+
+std::optional<RouterArch>
+parseArch(const std::string &s)
+{
+    if (s == "pathsensitive")
+        return RouterArch::PathSensitive; // long-form alias of "ps"
+    return parseWireName(s, RouterArch::Roco);
+}
+
+std::optional<RoutingKind>
+parseRouting(const std::string &s)
+{
+    return parseWireName(s, RoutingKind::Adaptive);
+}
+
+std::optional<TrafficKind>
+parseTraffic(const std::string &s)
+{
+    return parseWireName(s, TrafficKind::Trace);
 }
 
 namespace {

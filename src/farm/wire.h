@@ -36,8 +36,9 @@ std::string encodeDouble(double v);
  * One committed point as shard-file bytes: a `rocosim-shard 1` magic
  * line, the job id + commit provenance (attempt, worker), then every
  * PointResult / SimResult field as one `key value` line (doubles in
- * %a). The encoding is versioned and self-delimiting so a torn write
- * (missing trailer) is detectable.
+ * %a), SimResult's in forEachField order (sim/simulator.h). The
+ * encoding is versioned and self-delimiting so a torn write (missing
+ * trailer) is detectable.
  */
 std::string encodePointResult(const std::string &jobId,
                               const exp::PointResult &r,
@@ -54,7 +55,9 @@ std::string resultBytes(const SimResult &r);
 /**
  * Decodes encodePointResult bytes. Returns nullopt — never a partial
  * record — on any defect: bad magic, version skew, unknown field,
- * malformed number, or missing `end` trailer (torn write).
+ * malformed or out-of-range number, unknown class name, a class member
+ * before any `class` line, empty job id, or missing `end` trailer (torn
+ * write).
  */
 struct DecodedShard {
     std::string jobId;

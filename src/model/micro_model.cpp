@@ -61,7 +61,8 @@ MicroModel::MicroModel(const Scenario &sc)
     }
     NOC_ASSERT(slotsPerNode_ <= 63, "slot id overflows packed field");
     for (const PacketSpec &p : sc_.packets)
-        NOC_ASSERT(p.src != p.dst && p.src < topo_.numNodes() &&
+        NOC_ASSERT(p.src != p.dst &&
+                       p.src < static_cast<NodeId>(topo_.numNodes()) &&
                        p.dst < static_cast<NodeId>(topo_.numNodes()),
                    "bad packet spec");
     for (const FaultSpec &f : sc_.faults)

@@ -21,6 +21,7 @@
 #ifndef ROCOSIM_OBS_RECORDER_H_
 #define ROCOSIM_OBS_RECORDER_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -128,13 +129,17 @@ class Recorder
 
     Options opt_;
     std::vector<EventRing> rings_;
-    std::unordered_map<std::uint64_t, Cursor> cursors_;
+    /** Open cursors by packet id, one map per stripe (mix(id) %
+     *  kCursorStripes) so shard workers on different stripes never
+     *  touch the same buckets. */
+    std::array<std::unordered_map<std::uint64_t, Cursor>, kCursorStripes>
+        cursors_;
     /** One Summary per shard lane; lanes_[0] doubles as the serial
      *  summary (samplePathSetOccupancy always records there — it runs
      *  in the engine's single-threaded epilogue). */
     std::vector<Summary> lanes_{1};
     std::vector<int> laneOf_; ///< node -> lane; empty = all lane 0
-    /** Cursor-table stripe locks; allocated only when lanes > 1. */
+    /** Cursor-map stripe locks; allocated only when lanes > 1. */
     std::unique_ptr<std::mutex[]> stripes_;
 };
 

@@ -7,6 +7,7 @@
 #define ROCOSIM_SIM_SIMULATOR_H_
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/config.h"
@@ -47,7 +48,7 @@ struct SimResult {
     double colContention = 0; ///< Fig 3b probe
 
     // Closed-loop traffic service (cfg.svc.enabled runs only).
-    /** Per-message-class latency/SLO block (BENCH json "classes"). */
+    /** Per-message-class latency/SLO block (BENCH json classes). */
     struct ClassResult {
         const char *name = "";     ///< msgClassName()
         std::uint64_t injected = 0;
@@ -67,6 +68,73 @@ struct SimResult {
     std::uint64_t svcLateReplies = 0; ///< replies after MSHR timeout
     Cycle drainCycles = 0;            ///< total run length incl. drain
 };
+
+/**
+ * The one field list of SimResult, in serialisation order: the BENCH
+ * json writer (exp/json_out.cpp) and the shard encoder and decoder
+ * (farm/wire.cpp) are walks over it, so a new result field is one line
+ * here.
+ *
+ * @p r is a SimResult, a SimResult::ClassResult or an EnergyBreakdown,
+ * const for the writers and mutable for the decoder. @p v is called as
+ * v(key, member) for every member in order: scalars (double,
+ * std::uint64_t, bool, the class name), the `energy` sub-object and the
+ * repeated `classes` list, whose elements the visitor walks with
+ * forEachField in turn.
+ */
+template <class R, class V>
+void
+forEachField(R &r, V &&v)
+{
+    using T = std::remove_const_t<R>;
+    if constexpr (std::is_same_v<T, EnergyBreakdown>) {
+        v("bufferPj", r.bufferPj);
+        v("crossbarPj", r.crossbarPj);
+        v("arbiterPj", r.arbiterPj);
+        v("routingPj", r.routingPj);
+        v("linkPj", r.linkPj);
+        v("leakagePj", r.leakagePj);
+    } else if constexpr (std::is_same_v<T, SimResult::ClassResult>) {
+        v("name", r.name);
+        v("injected", r.injected);
+        v("delivered", r.delivered);
+        v("avgLatency", r.avgLatency);
+        v("p50Latency", r.p50Latency);
+        v("p99Latency", r.p99Latency);
+        v("avgRtt", r.avgRtt);
+        v("p99Rtt", r.p99Rtt);
+        v("rttCount", r.rttCount);
+        v("sloViolations", r.sloViolations);
+    } else {
+        static_assert(std::is_same_v<T, SimResult>);
+        v("avgLatency", r.avgLatency);
+        v("latencyStddev", r.latencyStddev);
+        v("maxLatency", r.maxLatency);
+        v("p50Latency", r.p50Latency);
+        v("p99Latency", r.p99Latency);
+        v("throughputFlits", r.throughputFlits);
+        v("injected", r.injected);
+        v("delivered", r.delivered);
+        v("completion", r.completion);
+        v("energy", r.energy);
+        v("energyPerPacketNj", r.energyPerPacketNj);
+        v("edp", r.edp);
+        v("pef", r.pef);
+        v("cycles", r.cycles);
+        v("timedOut", r.timedOut);
+        v("rowContention", r.rowContention);
+        v("colContention", r.colContention);
+        // The service group: closed-loop (cfg.svc.enabled) runs only.
+        if (!r.classes.empty()) {
+            v("classes", r.classes);
+            v("replyCount", r.replyCount);
+            v("mshrThrottled", r.mshrThrottled);
+            v("svcTimeouts", r.svcTimeouts);
+            v("svcLateReplies", r.svcLateReplies);
+            v("drainCycles", r.drainCycles);
+        }
+    }
+}
 
 /**
  * Runs one configuration to completion.

@@ -138,39 +138,52 @@ runPoint0(const exp::SweepSpec &spec)
 
 TEST(WireTest, ShardRoundTripIsBitExact)
 {
-    exp::SweepSpec spec = tinySpec("wire_rt");
-    std::vector<exp::SweepPoint> points = exp::expand(spec);
-    exp::PointResult r = exp::runSweepPoint(points[1]);
-    r.wallMs = 12.345678901234567; // survives only via %a hex-floats
+    for (bool closed : {false, true}) {
+        SCOPED_TRACE(closed ? "closed loop" : "open loop");
+        exp::SweepSpec spec = tinySpec("wire_rt");
+        spec.base.svc.enabled = closed;
+        const exp::SweepPoint p = exp::expand(spec)[1];
+        exp::PointResult r = exp::runSweepPoint(p);
+        r.wallMs = 12.345678901234567; // survives only via %a hex-floats
+        // The closed-loop point carries class blocks + service counters.
+        ASSERT_EQ(r.result.classes.empty(), !closed);
 
-    std::string bytes =
-        farm::encodePointResult(farm::jobId(points[1]), r, 3, 7);
-    auto dec = farm::decodePointResult(bytes);
-    ASSERT_TRUE(dec.has_value());
-    EXPECT_EQ(dec->jobId, farm::jobId(points[1]));
-    EXPECT_EQ(dec->attempt, 3u);
-    EXPECT_EQ(dec->worker, 7);
-    EXPECT_EQ(dec->point.index, r.index);
-    EXPECT_EQ(dec->point.seed, r.seed);
-    // Bit-exact doubles: memcmp, not ==, so -0.0 and NaN patterns
-    // would also be caught.
-    EXPECT_EQ(std::memcmp(&dec->point.wallMs, &r.wallMs, sizeof(double)),
-              0);
-    EXPECT_EQ(std::memcmp(&dec->point.result.avgLatency,
-                          &r.result.avgLatency, sizeof(double)),
-              0);
-    EXPECT_EQ(dec->point.result.cycles, r.result.cycles);
-    EXPECT_EQ(dec->point.result.delivered, r.result.delivered);
-    EXPECT_EQ(std::memcmp(&dec->point.result.energyPerPacketNj,
-                          &r.result.energyPerPacketNj, sizeof(double)),
-              0);
+        std::string bytes = farm::encodePointResult(farm::jobId(p), r, 3, 7);
+        auto dec = farm::decodePointResult(bytes);
+        ASSERT_TRUE(dec.has_value());
+        EXPECT_EQ(dec->jobId, farm::jobId(p));
+        EXPECT_EQ(dec->attempt, 3u);
+        EXPECT_EQ(dec->worker, 7);
+        EXPECT_EQ(dec->point.index, r.index);
+        EXPECT_EQ(dec->point.seed, r.seed);
+        // Bit-exact doubles: memcmp, not ==, so -0.0 and NaN patterns
+        // would also be caught.
+        EXPECT_EQ(
+            std::memcmp(&dec->point.wallMs, &r.wallMs, sizeof(double)), 0);
+        // Every SimResult field, energy members, per-class blocks and
+        // service counters included.
+        EXPECT_EQ(farm::resultBytes(dec->point.result),
+                  farm::resultBytes(r.result));
+    }
 }
 
 TEST(WireTest, TornShardRejected)
 {
     exp::SweepSpec spec = tinySpec("wire_torn");
+    spec.base.svc.enabled = true; // the shard has class blocks
     exp::PointResult r = runPoint0(spec);
     std::string bytes = farm::encodePointResult("00000000deadbeef", r);
+    ASSERT_NE(bytes.find("\nclass "), std::string::npos);
+    auto withLine = [&](const std::string &before, const std::string &ln) {
+        std::string b = bytes;
+        b.insert(b.find(before), ln);
+        return b;
+    };
+    auto replaced = [&](const std::string &from, const std::string &to) {
+        std::string b = bytes;
+        b.replace(b.find(from), from.size(), to);
+        return b;
+    };
 
     // Missing trailer (the torn-write signature).
     std::string noEnd = bytes.substr(0, bytes.rfind("end"));
@@ -182,9 +195,27 @@ TEST(WireTest, TornShardRejected)
             .has_value());
 
     // Unknown field: reject the whole shard, never skip silently.
-    std::string unknown = bytes;
-    unknown.insert(unknown.rfind("end"), "bogusField 1\n");
-    EXPECT_FALSE(farm::decodePointResult(unknown).has_value());
+    EXPECT_FALSE(farm::decodePointResult(withLine("end\n", "bogusField 1\n"))
+                     .has_value());
+    // Malformed number, and a bool out of range.
+    EXPECT_FALSE(
+        farm::decodePointResult(replaced("\ninjected ", "\ninjected x"))
+            .has_value());
+    EXPECT_FALSE(
+        farm::decodePointResult(replaced("\ntimedOut 0", "\ntimedOut 2"))
+            .has_value());
+    // A class name msgClassName does not know.
+    EXPECT_FALSE(farm::decodePointResult(
+                     replaced("\nclass req-high", "\nclass req-nope"))
+                     .has_value());
+    // A class member before any `class` line has no block to go into.
+    EXPECT_FALSE(farm::decodePointResult(
+                     withLine("\nclass ", "\nc.injected 1"))
+                     .has_value());
+    // Empty job id.
+    EXPECT_FALSE(
+        farm::decodePointResult(replaced("job 00000000deadbeef", "job "))
+            .has_value());
 
     // The pristine bytes still decode (the edits above are at fault).
     EXPECT_TRUE(farm::decodePointResult(bytes).has_value());
@@ -526,12 +557,8 @@ TEST(ProgressTest, CallbackFiresOncePerPointWithoutPerturbingResults)
 
     // Observing progress never changes results.
     for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(withHook.results[i].result.avgLatency,
-                  plain.results[i].result.avgLatency);
-        EXPECT_EQ(withHook.results[i].result.cycles,
-                  plain.results[i].result.cycles);
-        EXPECT_EQ(withHook.results[i].result.energyPerPacketNj,
-                  plain.results[i].result.energyPerPacketNj);
+        EXPECT_EQ(farm::resultBytes(withHook.results[i].result),
+                  farm::resultBytes(plain.results[i].result));
     }
 }
 

@@ -226,6 +226,7 @@ TEST(RaceCheckFixtureDeathTest, FailFastAbortsOnFirstFinding)
 
 // ---------------------------------------------------- clean-tree matrix
 
+#if NOC_RACE_CHECK_BUILT
 /**
  * Runs one simulation with a passively-attached checker and returns
  * it for inspection. The checker accumulates instead of aborting, so
@@ -251,6 +252,7 @@ expectCleanRun(SimConfig cfg, const std::vector<FaultSpec> &faults,
         << "the NOC_RACE_CHECK hooks logged nothing — are they built?";
     EXPECT_GT(race.cyclesChecked(), 0u);
 }
+#endif
 
 TEST(RaceCheckMatrixTest, CleanTreeOverArchRoutingAndFaultMatrix)
 {

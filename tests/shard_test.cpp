@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "farm/wire.h"
 #include "fault/fault_injector.h"
 #include "obs/obs.h"
 #include "obs/recorder.h"
@@ -277,23 +278,8 @@ expectIdentical(const RunObservation &serial, const RunObservation &sharded,
                 const char *what)
 {
     SCOPED_TRACE(what);
-    EXPECT_EQ(serial.r.avgLatency, sharded.r.avgLatency);
-    EXPECT_EQ(serial.r.latencyStddev, sharded.r.latencyStddev);
-    EXPECT_EQ(serial.r.maxLatency, sharded.r.maxLatency);
-    EXPECT_EQ(serial.r.p50Latency, sharded.r.p50Latency);
-    EXPECT_EQ(serial.r.p99Latency, sharded.r.p99Latency);
-    EXPECT_EQ(serial.r.throughputFlits, sharded.r.throughputFlits);
-    EXPECT_EQ(serial.r.injected, sharded.r.injected);
-    EXPECT_EQ(serial.r.delivered, sharded.r.delivered);
-    EXPECT_EQ(serial.r.completion, sharded.r.completion);
-    EXPECT_EQ(serial.r.energyPerPacketNj, sharded.r.energyPerPacketNj);
-    EXPECT_EQ(serial.r.energy.totalPj(), sharded.r.energy.totalPj());
-    EXPECT_EQ(serial.r.edp, sharded.r.edp);
-    EXPECT_EQ(serial.r.pef, sharded.r.pef);
-    EXPECT_EQ(serial.r.cycles, sharded.r.cycles);
-    EXPECT_EQ(serial.r.timedOut, sharded.r.timedOut);
-    EXPECT_EQ(serial.r.rowContention, sharded.r.rowContention);
-    EXPECT_EQ(serial.r.colContention, sharded.r.colContention);
+    // Every result field: energy breakdown and per-class blocks too.
+    EXPECT_EQ(farm::resultBytes(serial.r), farm::resultBytes(sharded.r));
     EXPECT_EQ(serial.ledger.created, sharded.ledger.created);
     EXPECT_EQ(serial.ledger.retired, sharded.ledger.retired);
     EXPECT_EQ(serial.ledger.lastDelivery, sharded.ledger.lastDelivery);
