@@ -1,6 +1,7 @@
 #include "exp/json_out.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,22 +10,10 @@
 namespace noc::exp {
 namespace {
 
-/** Shortest representation that round-trips a double (%.17g is exact). */
 void
 appendNum(std::string &out, double v)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // Prefer a shorter form when it round-trips to the same value.
-    for (int prec = 1; prec < 17; ++prec) {
-        char shorter[40];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-        if (std::strtod(shorter, nullptr) == v) {
-            out += shorter;
-            return;
-        }
-    }
-    out += buf;
+    appendJsonNumber(out, v);
 }
 
 void
@@ -182,6 +171,30 @@ appendObs(std::string &out, const obs::Summary &s)
 }
 
 } // namespace
+
+void
+appendJsonNumber(std::string &out, double v)
+{
+    char buf[40];
+    // Whole numbers below 2^53 are exact as integers: print 20, not the
+    // shortest %g form 2e+01.
+    if (std::trunc(v) == v && std::fabs(v) < 0x1p53) {
+        std::snprintf(buf, sizeof(buf), "%.0f", v);
+        out += buf;
+        return;
+    }
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    // Prefer a shorter form when it round-trips to the same value.
+    for (int prec = 1; prec < 17; ++prec) {
+        char shorter[40];
+        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
+        if (std::strtod(shorter, nullptr) == v) {
+            out += shorter;
+            return;
+        }
+    }
+    out += buf;
+}
 
 std::string
 resultJson(const SimResult &r)

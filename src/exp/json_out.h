@@ -122,6 +122,13 @@ std::string pointJson(const SweepPoint &p, const PointResult &r,
                       const JsonOptions &opts);
 const char *sweepJsonFooter();
 
+/**
+ * Appends @p v in its shortest round-tripping spelling: a whole number
+ * below 2^53 as plain digits, anything else as the shortest %g form
+ * that parses back to the same double.
+ */
+void appendJsonNumber(std::string &out, double v);
+
 /** One SimResult as a single-line JSON object. */
 std::string resultJson(const SimResult &r);
 

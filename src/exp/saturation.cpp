@@ -1,9 +1,8 @@
 #include "exp/saturation.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+
+#include "exp/json_out.h"
 
 namespace noc::exp {
 namespace {
@@ -43,22 +42,6 @@ probe(const SaturationSpec &spec, const std::vector<double> &rates)
     if (!spec.faults.empty() || !spec.faultLabel.empty())
         sw.faultSets = {{spec.faultLabel, spec.faults}};
     return SweepRunner(spec.threads).run(sw);
-}
-
-void
-appendNum(std::string &out, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        char shorter[40];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-        if (std::strtod(shorter, nullptr) == v) {
-            out += shorter;
-            return;
-        }
-    }
-    out += buf;
 }
 
 } // namespace
@@ -190,18 +173,18 @@ saturationJson(const SaturationSpec &spec, const SaturationResult &res,
     out += "\",\n  \"faults\": \"";
     out += spec.faultLabel;
     out += "\",\n  \"kneeFactor\": ";
-    appendNum(out, spec.kneeFactor);
+    appendJsonNumber(out, spec.kneeFactor);
     out += ",\n  \"rounds\": ";
-    appendNum(out, res.rounds);
+    appendJsonNumber(out, res.rounds);
     out += ",\n  \"probesPerRound\": ";
-    appendNum(out, spec.probesPerRound);
+    appendJsonNumber(out, spec.probesPerRound);
     out += ",\n  \"threads\": ";
-    appendNum(out, res.threads);
+    appendJsonNumber(out, res.threads);
     out += ",\n  \"probedRates\": [";
     for (std::size_t i = 0; i < res.probedRates.size(); ++i) {
         if (i)
             out += ", ";
-        appendNum(out, res.probedRates[i]);
+        appendJsonNumber(out, res.probedRates[i]);
     }
     out += "],\n  \"knees\": [\n";
     for (std::size_t i = 0; i < res.knees.size(); ++i) {
@@ -209,11 +192,11 @@ saturationJson(const SaturationSpec &spec, const SaturationResult &res,
         out += "    {\"series\": \"";
         out += k.series;
         out += "\", \"zeroLoadLatency\": ";
-        appendNum(out, k.zeroLoadLatency);
+        appendJsonNumber(out, k.zeroLoadLatency);
         out += ", \"kneeRate\": ";
-        appendNum(out, k.kneeRate);
+        appendJsonNumber(out, k.kneeRate);
         out += ", \"kneeLatency\": ";
-        appendNum(out, k.kneeLatency);
+        appendJsonNumber(out, k.kneeLatency);
         out += ", \"saturated\": ";
         out += k.saturated ? "true" : "false";
         out += "}";
@@ -224,13 +207,13 @@ saturationJson(const SaturationSpec &spec, const SaturationResult &res,
     out += "  ]";
     if (batch != nullptr) {
         out += ",\n  \"batch\": {\"budget\": ";
-        appendNum(out, static_cast<double>(batch->budget));
+        appendJsonNumber(out, static_cast<double>(batch->budget));
         out += ", \"delivered\": ";
-        appendNum(out, static_cast<double>(batch->delivered));
+        appendJsonNumber(out, static_cast<double>(batch->delivered));
         out += ", \"timeToDrain\": ";
-        appendNum(out, static_cast<double>(batch->timeToDrain));
+        appendJsonNumber(out, static_cast<double>(batch->timeToDrain));
         out += ", \"packetsPerCycle\": ";
-        appendNum(out, batch->packetsPerCycle);
+        appendJsonNumber(out, batch->packetsPerCycle);
         out += "}";
     }
     out += "\n}\n";

@@ -288,6 +288,24 @@ TEST(JsonOutTest, CanonicalSchema4ZeroesVolatileFields)
               std::string::npos);
 }
 
+TEST(JsonOutTest, WholeNumbersPrintAsPlainIntegers)
+{
+    auto spell = [](double v) {
+        std::string s;
+        appendJsonNumber(s, v);
+        return s;
+    };
+    EXPECT_EQ(spell(20), "20");
+    EXPECT_EQ(spell(150720), "150720");
+    EXPECT_EQ(spell(-3), "-3");
+    EXPECT_EQ(spell(0), "0");
+    EXPECT_EQ(spell(0x1p53 - 1), "9007199254740991");
+    // Fractions and magnitudes past 2^53 keep the shortest %g form.
+    EXPECT_EQ(spell(19.5), "19.5");
+    EXPECT_EQ(spell(0.1), "0.1");
+    EXPECT_EQ(spell(1e300), "1e+300");
+}
+
 TEST(ProofMemoTest, FingerprintIgnoresOperationalKnobs)
 {
     SimConfig a = tinyConfig();
