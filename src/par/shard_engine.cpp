@@ -245,10 +245,13 @@ runSharded(Network &net, const SimConfig &cfg, int shards,
 
     // Per-shard ledgers keep flit-lifecycle counting lock-free; the
     // epilogue reduces them, and the master ledger is restored (with
-    // the reduced totals) before returning.
-    for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n)
+    // the reduced totals) before returning. Latency lanes are per shard
+    // for the same reason, but are only merged once, by Simulator::run.
+    for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n) {
         net.bindNodeLedger(n, &sh.ledgers[static_cast<std::size_t>(
                                   plan.shardOf(n))]);
+        net.bindNodeLane(n, plan.shardOf(n));
+    }
     if (obs != nullptr) {
         std::vector<int> laneOf(static_cast<std::size_t>(net.numNodes()));
         for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n)
@@ -275,8 +278,10 @@ runSharded(Network &net, const SimConfig &cfg, int shards,
     for (std::thread &t : workers)
         t.join();
 
-    for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n)
+    for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n) {
         net.bindNodeLedger(n, nullptr);
+        net.bindNodeLane(n, 0);
+    }
     net.setLedgerTotals(sh.totals);
     for (int s = 0; s < plan.shards(); ++s)
         net.addRouterSteps(sh.stepsExec[static_cast<std::size_t>(s)].value,

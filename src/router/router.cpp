@@ -374,7 +374,11 @@ Router::grantVcs(Cycle now)
         ctl.outSlot = r.slot;
         ctl.nextLa = r.nextLa; // commit the adaptive look-ahead choice
         ctl.stage = PacketCtl::Stage::Active;
-        ctl.vaGrantCycle = now;
+        if (vaGrantStamp_ != now) {
+            vaGrantStamp_ = now;
+            vaGrantMask_ = 0;
+        }
+        vaGrantMask_ |= 1ull << winner;
         NOC_OBS(if (obs_ && !ivc.buf.empty() &&
                     ivc.buf.front().packetId == ctl.owner)
                     obs_->record(obs::Stage::VaGrant, ivc.buf.front(), id(),

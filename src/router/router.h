@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "check/invariant.h"
@@ -93,22 +94,25 @@ struct PacketCtl {
      */
     enum class Stage : std::uint8_t { VaWait, Active, Drop };
 
-    Stage stage = Stage::VaWait;
     std::uint64_t owner = 0;                ///< packet id
+    Cycle vaEligible = 0; ///< earliest VA cycle (double-routing delay)
+    int outSlot = -1;                       ///< downstream VC slot
+    Stage stage = Stage::VaWait;
     Direction srcDir = Direction::Invalid;  ///< arrival link
     Direction outDir = Direction::Invalid;  ///< output at this router
     Direction nextLa = Direction::Invalid;  ///< output at next router
-    int outSlot = -1;                       ///< downstream VC slot
-    Cycle vaEligible = 0; ///< earliest VA cycle (double-routing delay)
-    /**
-     * Cycle the packet won VC allocation. A switch request issued in
-     * the same cycle is *speculative* (stage 1 runs RC|VA|SA in
-     * parallel) and yields to non-speculative requests — the paper's
-     * arbitration-depth argument: high-contention routers waste their
-     * speculative grants, low-contention ones keep them.
-     */
-    Cycle vaGrantCycle = 0;
 };
+
+/**
+ * The ctl arenas hold depth + 1 records per input VC, so the record
+ * size is a per-router memory cost; it is pinned like the Flit layout
+ * (common/flit.h). Whether a packet won VA this cycle is a per-router
+ * mask (Router::vaGrantMask_), not a per-packet field.
+ */
+static_assert(std::is_trivially_copyable_v<PacketCtl> &&
+                  sizeof(PacketCtl) <= 24,
+              "PacketCtl grew past 24 bytes; every input VC holds "
+              "depth + 1 of them");
 
 /**
  * One input VC as views into its router's flit/ctl arenas (see
@@ -588,7 +592,8 @@ class Router
         if (ctl.outSlot != kEjectSlot &&
             outputVc(ctl.outDir, ctl.outSlot).credits <= 0)
             return SwitchReq::None;
-        return ctl.vaGrantCycle == now && isHead(ivc.buf.front().type)
+        return vaGrantStamp_ == now && ((vaGrantMask_ >> i) & 1u) &&
+                       isHead(ivc.buf.front().type)
                    ? SwitchReq::Speculative
                    : SwitchReq::Committed;
     }
@@ -816,6 +821,20 @@ class Router
     std::vector<VaRequest> vaReqs_;
     std::vector<std::uint64_t> vaMasks_; ///< [dir * slotsPerDir_ + slot]
     std::vector<RoundRobinArbiter> vaArb_; ///< one per output VC
+    /**
+     * Input VCs (bit per index) whose front packet won VC allocation
+     * in cycle vaGrantStamp_. A switch request in that same cycle is
+     * *speculative* (stage 1 runs RC|VA|SA in parallel) and yields to
+     * non-speculative requests: the paper's arbitration-depth
+     * argument, where high-contention routers waste their speculative
+     * grants and low-contention ones keep them. The all-ones start
+     * keeps cycle 0's rule of the former per-packet grant cycle, which
+     * defaulted to 0: every active head counts as just granted there.
+     */
+    NOC_OWNED_STATE(alloc)
+    std::uint64_t vaGrantMask_ = ~0ull;
+    NOC_OWNED_STATE(alloc)
+    Cycle vaGrantStamp_ = 0;
 
     std::vector<OutputVc> outVc_; ///< [dir * slotsPerDir_ + slot]
     int slotsPerDir_ = 0;

@@ -62,6 +62,7 @@ Network::build(const std::vector<FaultSpec> &faults)
     for (int i = 0; i < n; ++i)
         active_[i].store(1, std::memory_order_relaxed);
 
+    lanes_.push_back(std::make_unique<LatencyLane>(cfg_.svc.enabled));
     routers_.reserve(static_cast<size_t>(n));
     nics_.reserve(static_cast<size_t>(n));
     for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
@@ -72,6 +73,7 @@ Network::build(const std::vector<FaultSpec> &faults)
         routers_.back()->setNicQueue(&nics_.back()->sourceQueue());
         routers_.back()->setLedger(&ledger_);
         nics_.back()->setLedger(&ledger_);
+        nics_.back()->setLane(lanes_.front().get());
         nics_.back()->setWakeFlag(&active_[id]);
         if (trace_)
             nics_.back()->attachTrace(*trace_);
@@ -138,6 +140,15 @@ Network::bindNodeLedger(NodeId n, FlitLedger *l)
     FlitLedger *target = l != nullptr ? l : &ledger_;
     routers_[n]->setLedger(target);
     nics_[n]->setLedger(target);
+}
+
+void
+Network::bindNodeLane(NodeId n, int lane)
+{
+    NOC_ASSERT(lane >= 0, "negative latency lane");
+    while (static_cast<int>(lanes_.size()) <= lane)
+        lanes_.push_back(std::make_unique<LatencyLane>(cfg_.svc.enabled));
+    nics_[n]->setLane(lanes_[static_cast<std::size_t>(lane)].get());
 }
 
 void

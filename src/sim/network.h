@@ -135,6 +135,22 @@ class Network
      */
     void bindNodeLedger(NodeId n, FlitLedger *l);
 
+    /**
+     * Binds node @p n's NIC to latency lane @p lane (sim/nic.h),
+     * creating lanes up to it on first use. The sharded engine binds
+     * every node to its shard's lane and back to lane 0 afterwards;
+     * lanes keep what they recorded, and Simulator::run merges them
+     * all. Unlike the ledgers, lanes are never reduced per cycle.
+     */
+    void bindNodeLane(NodeId n, int lane);
+
+    /** Latency lanes created so far (at least one). */
+    int numLanes() const { return static_cast<int>(lanes_.size()); }
+    const LatencyLane &lane(int i) const
+    {
+        return *lanes_[static_cast<std::size_t>(i)];
+    }
+
     /** Overwrites the master ledger with reduced shard totals. */
     NOC_PHASE_FN(epilogue)
     void setLedgerTotals(const FlitLedger &l) { ledger_ = l; }
@@ -187,6 +203,8 @@ class Network
     NOC_OWNED_STATE(engine, epilogue)
     std::uint64_t generatedBase1_ = 1;
     FlitLedger ledger_;
+    /** Latency lanes; held by pointer so NIC bindings survive growth. */
+    std::vector<std::unique_ptr<LatencyLane>> lanes_;
     /**
      * Per-node idle-skip flags (see activeFlag()). Cross-shard by
      * design, so they must stay lock-free atomics: the relaxed

@@ -162,17 +162,20 @@ Simulator::run()
     r.timedOut = now >= cfg_.maxCycles;
     r.cycles = ctl.measuring() ? now - ctl.measureStart() : now;
 
+    // Moments merge per NIC in node order (floating point: the order
+    // is part of the result); distributions merge per lane, in any
+    // order, since their counts are integers.
     RunningStat lat;
-    Histogram hist(2.0, 1024);
-    for (int i = 0; i < net_.numNodes(); ++i) {
+    for (int i = 0; i < net_.numNodes(); ++i)
         lat.merge(net_.nic(static_cast<NodeId>(i)).latency());
-        hist.merge(net_.nic(static_cast<NodeId>(i)).latencyHistogram());
-    }
+    LatencyLane dist(cfg_.svc.enabled);
+    for (int l = 0; l < net_.numLanes(); ++l)
+        dist.merge(net_.lane(l));
     r.avgLatency = lat.mean();
     r.latencyStddev = lat.stddev();
     r.maxLatency = lat.max();
-    r.p50Latency = hist.percentile(0.50);
-    r.p99Latency = hist.percentile(0.99);
+    r.p50Latency = dist.latency.percentile(0.50);
+    r.p99Latency = dist.latency.percentile(0.99);
 
     r.injected = net_.totalInjectedMeasured();
     r.delivered = net_.totalDeliveredMeasured();
@@ -222,15 +225,17 @@ Simulator::run()
         for (int c = 0; c < kNumMsgClasses; ++c) {
             SimResult::ClassResult &cr = r.classes[c];
             const svc::ClassStats &m = merged[c];
+            const svc::ClassHistograms &h =
+                dist.classes[static_cast<std::size_t>(c)];
             cr.name = msgClassName(static_cast<MsgClass>(c));
             cr.injected = m.injectedPackets;
             cr.delivered = m.deliveredPackets;
             cr.avgLatency = m.latency.mean();
-            cr.p50Latency = m.latencyHist.percentile(0.50);
-            cr.p99Latency = m.latencyHist.percentile(0.99);
+            cr.p50Latency = h.latency.percentile(0.50);
+            cr.p99Latency = h.latency.percentile(0.99);
             cr.avgRtt = m.rtt.mean();
-            cr.p99Rtt = m.rttHist.percentile(0.99);
-            cr.rttCount = m.rttHist.count();
+            cr.p99Rtt = h.rtt.percentile(0.99);
+            cr.rttCount = h.rtt.count();
             cr.sloViolations = m.sloViolations;
             if (isReplyClass(static_cast<MsgClass>(c)))
                 r.replyCount += m.deliveredPackets;

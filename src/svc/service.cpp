@@ -11,10 +11,15 @@ ClassStats::merge(const ClassStats &other)
     injectedPackets += other.injectedPackets;
     deliveredPackets += other.deliveredPackets;
     latency.merge(other.latency);
-    latencyHist.merge(other.latencyHist);
     rtt.merge(other.rtt);
-    rttHist.merge(other.rttHist);
     sloViolations += other.sloViolations;
+}
+
+void
+ClassHistograms::merge(const ClassHistograms &other)
+{
+    latency.merge(other.latency);
+    rtt.merge(other.rtt);
 }
 
 ServiceEndpoint::ServiceEndpoint(const ServiceConfig &svc)

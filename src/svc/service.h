@@ -42,9 +42,11 @@ namespace noc {
 namespace svc {
 
 /**
- * Per-message-class latency/SLO accumulators, kept per NIC and merged
- * across nodes (in node order, so the merge is deterministic) into the
- * SimResult's per-class block.
+ * Per-message-class counters and running latency/RTT moments, kept
+ * per NIC and merged across nodes in node order into the SimResult's
+ * per-class block: RunningStat merges are floating point, so the merge
+ * order is part of the result bytes. The distributions live per engine
+ * lane instead (ClassHistograms).
  */
 struct ClassStats {
     std::uint64_t injectedPackets = 0;  ///< packets entering the source queue
@@ -52,20 +54,31 @@ struct ClassStats {
 
     /** One-way network latency of measured packets of this class. */
     RunningStat latency;
-    obs::HdrHistogram latencyHist;
 
     /**
      * Request round-trip time (inject request -> reply tail delivered),
      * recorded at the requester on the *request* classes only.
      */
     RunningStat rtt;
-    obs::HdrHistogram rttHist;
 
     /** Measured RTTs that exceeded the tier's SLO threshold. */
     std::uint64_t sloViolations = 0;
 
-    /** Folds @p other in; histogram geometries always match. */
+    /** Folds @p other in. */
     void merge(const ClassStats &other);
+};
+
+/**
+ * Per-message-class latency and RTT distributions, one set per engine
+ * lane (sim/nic.h LatencyLane) rather than per NIC. Every field is an
+ * integer, so lanes merge in any order to the same bytes.
+ */
+struct ClassHistograms {
+    obs::HdrHistogram latency; ///< as ClassStats::latency
+    obs::HdrHistogram rtt;     ///< as ClassStats::rtt
+
+    /** Folds @p other in; geometries always match. */
+    void merge(const ClassHistograms &other);
 };
 
 /**
