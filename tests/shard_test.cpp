@@ -261,6 +261,10 @@ observeRun(SimConfig cfg, const std::vector<FaultSpec> &faults, int shards)
     }
     RunObservation out;
     out.r = sim.run();
+    // Each shard recorded its latency distributions into its own lane,
+    // so the identity checks below compare a multi-lane merge.
+    EXPECT_EQ(sim.network().numLanes(),
+              par::effectiveShards(cfg, cfg.meshWidth * cfg.meshHeight));
     out.ledger = sim.network().ledger();
     out.genPackets = sim.network().packetsGenerated();
     if (rec) {
