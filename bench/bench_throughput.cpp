@@ -6,20 +6,19 @@
  * three loads across all three router architectures, SimConfig
  * defaults otherwise) three ways per probe:
  *
- *   timed   - serial engine, idle-skip on (the production hot path),
+ *   timed   - one shard, idle-skip on (the production hot path),
  *             best-of-NOC_BENCH_REPS wall time
- *   noskip  - serial engine, idle-skip off
+ *   noskip  - one shard, idle-skip off
  *   sharded - deterministic 2-shard engine
  *
  * The timed run yields flit-cycles simulated per wall second (the
- * ledger's flitCycles numerator over the best wall time) and a speedup
- * against the frozen seed-revision numbers in throughput_baseline.h.
- * The other two runs are correctness gates: every SimResult field and
- * the flit ledger must match the timed run bit-for-bit, otherwise the
- * bench exits non-zero — an optimisation that changes results is a
- * bug, not a speedup.  A baseline row whose simulated-cycle count no
- * longer matches the current build is reported as stale and its
- * speedup suppressed rather than compared across different workloads.
+ * ledger's flitCycles numerator over the best wall time). There is no
+ * speedup column: wall times from different hosts or sessions are not
+ * comparable, so a speed claim needs interleaved A/B runs of two
+ * builds, not a frozen number. The other two runs are correctness
+ * gates: every SimResult field and the flit ledger must match the
+ * timed run bit-for-bit, otherwise the bench exits non-zero — an
+ * optimisation that changes results is a bug, not a speedup.
  *
  * Writes BENCH_throughput.json (NOC_BENCH_JSON=0 suppresses).  The
  * ctest registration shrinks the workload via NOC_BENCH_PACKETS so the
@@ -34,7 +33,6 @@
 
 #include "bench_util.h"
 #include "farm/wire.h"
-#include "throughput_baseline.h"
 
 namespace {
 
@@ -90,15 +88,6 @@ identical(const RunObs &a, const RunObs &b)
            a.ledger.flitCycles == b.ledger.flitCycles;
 }
 
-const ThroughputBaseline *
-findBaseline(const char *tag)
-{
-    for (const ThroughputBaseline &b : kThroughputBaseline)
-        if (std::string(b.tag) == tag)
-            return &b;
-    return nullptr;
-}
-
 } // namespace
 
 int
@@ -114,8 +103,8 @@ main()
                 " packets (+%" PRIu64 " warmup), best of %d\n",
                 packets, warmup, reps);
     hr();
-    std::printf("%-16s %9s %9s %12s %8s %7s %s\n", "probe", "wall ms",
-                "base ms", "flit-cyc/s", "speedup", "skip%", "gates");
+    std::printf("%-16s %9s %12s %7s %s\n", "probe", "wall ms",
+                "flit-cyc/s", "skip%", "gates");
     std::string rows;
     int bad = 0;
 
@@ -164,46 +153,19 @@ main()
                                          best.stepsScheduled))
                 : 0;
 
-        const ThroughputBaseline *base =
-            fullGrid ? findBaseline(p.tag) : nullptr;
-        const bool stale = base && base->cycles != best.r.cycles;
-        const double speedup =
-            base && !stale && best.wallMs > 0 ? base->wallMs / best.wallMs
-                                              : 0;
-        if (stale) {
-            std::fprintf(stderr,
-                         "%s: baseline stale (cycles %" PRIu64
-                         " vs recorded %" PRIu64 "), speedup suppressed\n",
-                         p.tag, static_cast<std::uint64_t>(best.r.cycles),
-                         base->cycles);
-        }
-
-        char spdBuf[32], baseBuf[32];
-        if (speedup > 0)
-            std::snprintf(spdBuf, sizeof spdBuf, "%.2fx", speedup);
-        else
-            std::snprintf(spdBuf, sizeof spdBuf, "%s",
-                          stale ? "stale" : "n/a");
-        if (base)
-            std::snprintf(baseBuf, sizeof baseBuf, "%.1f", base->wallMs);
-        else
-            std::snprintf(baseBuf, sizeof baseBuf, "-");
-        std::printf("%-16s %9.1f %9s %12.3e %8s %6.1f%% %s\n", p.tag,
-                    best.wallMs, baseBuf, flitCycPerSec, spdBuf, skipPct,
-                    bad ? "DIVERGED" : "ok");
+        std::printf("%-16s %9.1f %12.3e %6.1f%% %s\n", p.tag, best.wallMs,
+                    flitCycPerSec, skipPct, bad ? "DIVERGED" : "ok");
 
         char row[512];
         std::snprintf(
             row, sizeof row,
             "    {\"tag\": \"%s\", \"wallMs\": %.3f, \"cycles\": %" PRIu64
             ", \"flitCycles\": %" PRIu64 ", \"flitCyclesPerSec\": %.1f, "
-            "\"baselineWallMs\": %.3f, \"speedup\": %.4f, "
-            "\"baselineStale\": %s, \"stepsExecuted\": %" PRIu64
-            ", \"stepsScheduled\": %" PRIu64 "}",
+            "\"stepsExecuted\": %" PRIu64 ", \"stepsScheduled\": %" PRIu64
+            "}",
             p.tag, best.wallMs, static_cast<std::uint64_t>(best.r.cycles),
-            best.ledger.flitCycles, flitCycPerSec,
-            base ? base->wallMs : 0.0, speedup, stale ? "true" : "false",
-            best.stepsExecuted, best.stepsScheduled);
+            best.ledger.flitCycles, flitCycPerSec, best.stepsExecuted,
+            best.stepsScheduled);
         if (!rows.empty())
             rows += ",\n";
         rows += row;

@@ -2,8 +2,8 @@
  * @file
  * Machine-checked phase-discipline annotations (DESIGN section 13).
  *
- * The simulator's determinism contract — sharded runs bit-identical to
- * serial — rests on a single-writer discipline: every piece of
+ * The simulator's determinism contract — the same bytes at every shard
+ * count — rests on a single-writer discipline: every piece of
  * cross-router state (the incoming-occupancy mirrors, the idle-skip
  * flags, the shard epilogue's reduction fields) is written only from a
  * specific sub-phase of the cycle, and the pentachromatic step
@@ -23,9 +23,11 @@
  *   inject   NIC traffic generation (pre-step, shard-local)
  *   step     a whole-router step driver: composes the above, writes
  *            no phase-guarded state directly
- *   engine   the cycle drivers (Network::step, the shard workers):
- *            idle-skip flags and step counters
- *   epilogue the sharded engine's in-barrier epilogue: reductions and
+ *   engine   the cycle loop (Network::stepShard, the shard worker
+ *            that calls it, Network::step): idle-skip flags and step
+ *            counters
+ *   epilogue the engine's end-of-cycle routine, run inside the last
+ *            barrier (inline for one shard): reductions and
  *            run-control updates, strictly single-threaded
  *   setup    construction / wiring; may initialise anything
  *
@@ -51,7 +53,7 @@
  *                              reachable from a neighbour only through
  *                              the sanctioned mirror / reserveInputVc
  *                              APIs (cross-router-access).
- *   NOC_EPILOGUE_STATE         written only by the sharded engine's
+ *   NOC_EPILOGUE_STATE         written only by the engine's
  *                              in-barrier epilogue (or setup); any
  *                              other phase writing it escapes the
  *                              single-threaded window the barrier
@@ -59,7 +61,7 @@
  *                              (own-epilogue-escape).
  *
  * The dynamic counterpart is src/par/race_check.h: under
- * -DNOC_RACE_CHECK=ON the engines log per-step access records for the
+ * -DNOC_RACE_CHECK=ON the cycle loop logs per-step access records for the
  * owned/shared footprints and validate after every superstep that the
  * schedule kept them disjoint.
  */

@@ -160,10 +160,12 @@ struct SimConfig {
 
     // --- execution ------------------------------------------------------
     /**
-     * Worker shards for the deterministic parallel engine (src/par).
-     * 0 = auto (the NOC_SHARDS environment variable, default 1);
-     * 1 runs the classic serial loop. Results are bit-identical for
-     * every shard count — this is purely a wall-clock knob.
+     * Worker shards for the deterministic bulk-synchronous engine
+     * (src/par) that drives every run. 0 = auto (the NOC_SHARDS
+     * environment variable, default 1); 1 runs the engine inline on
+     * the calling thread, with no worker thread. Results are
+     * bit-identical for every shard count — this is purely a
+     * wall-clock knob.
      */
     int shards = 0;
 

@@ -13,7 +13,9 @@
  * epilogue executes strictly single-threaded between cycles (the
  * engine uses this for its reductions and run-control updates). The
  * release store on the epoch publishes everything the epilogue wrote
- * to every waiter's subsequent acquire load.
+ * to every waiter's subsequent acquire load. A one-party barrier (the
+ * 1-shard engine every serial run uses) just runs the epilogue: there
+ * is nobody to wait for or publish to, so it touches no atomic.
  */
 #ifndef ROCOSIM_PAR_BARRIER_H_
 #define ROCOSIM_PAR_BARRIER_H_
@@ -69,6 +71,12 @@ class SpinBarrier
         //     hand-off that publishes everything the single-threaded
         //     epilogue wrote (sh.now / sh.stop / sh.totals — the
         //     NOC_EPILOGUE_STATE members) to every waiter's next cycle.
+        if (parties_ == 1) {
+            // A lone party is its own last arriver, with nothing to
+            // publish to anyone: the epilogue is all there is.
+            epilogue();
+            return;
+        }
         std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
         if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             parties_) {

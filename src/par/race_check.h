@@ -84,9 +84,9 @@ class RaceChecker
      * End of superstep @p now: merges the lanes, validates that every
      * same-(object, phase) pair of records from distinct actors is a
      * commuting wake-flag store, and that every mirror access was
-     * atomic. Must run single-threaded (the serial loop between
-     * cycles, or the sharded engine's in-barrier epilogue). Clears the
-     * lanes for the next cycle.
+     * atomic. Must run single-threaded (the engine's in-barrier
+     * epilogue, or Network::step after its cycle). Clears the lanes
+     * for the next cycle.
      */
     NOC_PHASE_FN(epilogue)
     void endCycle(Cycle now);

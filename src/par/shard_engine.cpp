@@ -26,38 +26,82 @@ struct alignas(64) ShardCount {
 struct Shared {
     Network &net;
     const SimConfig &cfg;
-    const ShardPlan &plan;
+    const Network::StepSchedule sched;
     RunControl &ctl;
     obs::Recorder *obs;
     SpinBarrier barrier;
     std::vector<FlitLedger> ledgers;   // one per shard
     std::vector<ShardCount> generated; // this cycle, per shard
-    std::vector<ShardCount> stepsExec; // whole run, per shard
-    std::vector<ShardCount> stepsSched;
+    std::vector<Network::StepCounts> steps; // whole run, per shard
     NOC_EPILOGUE_STATE
     Cycle now = 0;   // cycle the workers are about to run
     NOC_EPILOGUE_STATE
     bool stop = false;
-    NOC_EPILOGUE_STATE
-    FlitLedger totals; // reduction of ledgers, maintained in epilogue
 
     Shared(Network &n, const SimConfig &c, const ShardPlan &p,
            RunControl &rc, obs::Recorder *o)
-        : net(n), cfg(c), plan(p), ctl(rc), obs(o),
+        : net(n), cfg(c), sched(n.schedule(p)), ctl(rc), obs(o),
           barrier(p.shards()),
           ledgers(static_cast<std::size_t>(p.shards())),
           generated(static_cast<std::size_t>(p.shards())),
-          stepsExec(static_cast<std::size_t>(p.shards())),
-          stepsSched(static_cast<std::size_t>(p.shards()))
+          steps(static_cast<std::size_t>(p.shards()))
     {
     }
 };
 
 /**
- * End-of-cycle epilogue, run by the last barrier arriver while every
- * other worker is parked: mirrors one trip around the serial loop in
- * Simulator::run (probe cadence included) so the two drivers make
- * identical decisions at identical cycles.
+ * Top-of-cycle bookkeeping for cycle @p now: the warm-up / measure /
+ * drain decision, and the probe reset when measurement opens.
+ */
+NOC_PHASE_FN(epilogue)
+void
+beginCycle(Shared &sh, Cycle now)
+{
+    if (sh.ctl.beginCycle(now, sh.net.traceExhausted(),
+                          sh.net.packetsGenerated())) {
+        sh.net.resetActivity();
+        sh.net.resetContention();
+    }
+}
+
+#ifndef NDEBUG
+/**
+ * Drain-time cross-check of the incremental counters against a full
+ * network walk: the reduced ledger against the flits actually queued
+ * or in flight, and every router's idle-skip work counter and
+ * incoming-occupancy mirrors against its buffers and channels — a
+ * drifting counter would silently freeze a router.
+ */
+void
+auditCounters(const Network &net, const FlitLedger &sum)
+{
+    bool queued = false;
+    for (int i = 0; i < net.numNodes() && !queued; ++i)
+        queued = net.nic(static_cast<NodeId>(i)).queuedFlits() > 0;
+    // Flit half of the ledger only: service mode also tracks
+    // scheduled-not-yet-injected replies (svcPending), which no
+    // network scan can see.
+    NOC_ASSERT((sum.created == sum.retired) ==
+                   (!queued && net.flitsInFlight() == 0),
+               "flit ledger out of sync with network scan");
+    for (int i = 0; i < net.numNodes(); ++i) {
+        const Router &r = net.router(static_cast<NodeId>(i));
+        NOC_ASSERT(r.workItems() == r.bufferedFlits(),
+                   "idle-skip work counter out of sync with buffered "
+                   "flits");
+        NOC_ASSERT(r.pendMirrorsConsistent(),
+                   "incoming-occupancy mirror out of sync with channel "
+                   "in-flight count");
+    }
+}
+#endif
+
+/**
+ * The end-of-cycle routine, run by the last barrier arriver while
+ * every other worker is parked (with one shard, inline after the
+ * cycle): reduces the per-shard generation counts and flit ledgers,
+ * runs the periodic observability / invariant probes and audits, and
+ * makes the stop / next-cycle decisions through RunControl.
  */
 NOC_PHASE_FN(epilogue)
 void
@@ -71,10 +115,8 @@ epilogue(Shared &sh)
         race->endCycle(sh.now);
 #endif
     std::uint64_t gen = 0;
-    for (ShardCount &g : sh.generated) {
+    for (const ShardCount &g : sh.generated)
         gen += g.value;
-        g.value = 0;
-    }
     sh.net.addGenerated(gen);
 
     FlitLedger sum;
@@ -89,47 +131,37 @@ epilogue(Shared &sh)
         }
         sum.svcPending += l.svcPending;
     }
-    sh.totals = sum;
+    // The network's own ledger is written by nobody else during the
+    // run, so it can carry the totals: the invariant sweep below and
+    // anyone reading net.ledger() after the run see the live counts.
+    sh.net.setLedgerTotals(sum);
 
-    Cycle done = sh.now + 1; // cycles completed, == serial's post-step now
+    const Cycle done = sh.now + 1; // cycles completed
 
+    // Coarse path-set occupancy probe; the period keeps its cost
+    // negligible against the per-cycle work.
     NOC_OBS(if (sh.obs && (done & 255u) == 0)
                 sh.obs->samplePathSetOccupancy(sh.net));
 #if NOC_INVARIANTS_BUILT
+    // Periodic network-wide protocol audit (credit conservation,
+    // fault-state consistency).
     if ((done & 1023u) == 0 && check::invariantsEnabled())
         sh.net.checkProtocolInvariants(done);
 #endif
 
-    bool stop = false;
+    // Drain detection is O(1): the ledger counts every flit at
+    // creation and retirement.
+    bool stop = done >= sh.cfg.maxCycles;
     if (!sh.ctl.generating()) {
 #ifndef NDEBUG
-        if ((done & 63u) == 0) {
-            bool queued = false;
-            for (int i = 0; i < sh.net.numNodes() && !queued; ++i) {
-                queued =
-                    sh.net.nic(static_cast<NodeId>(i)).queuedFlits() > 0;
-            }
-            // Flit half of the ledger only: service mode also tracks
-            // scheduled-not-yet-injected replies (svcPending), which
-            // no network scan can see.
-            NOC_ASSERT((sum.created == sum.retired) ==
-                           (!queued && sh.net.flitsInFlight() == 0),
-                       "shard ledgers out of sync with network scan");
-        }
+        if ((done & 63u) == 0)
+            auditCounters(sh.net, sum);
 #endif
-        stop = sh.ctl.endCycle(done, sum.quiescent(), sum.lastDelivery,
-                               sum.svcPending);
+        stop = stop || sh.ctl.endCycle(done, sum.quiescent(),
+                                       sum.lastDelivery, sum.svcPending);
     }
-    if (!stop && done >= sh.cfg.maxCycles)
-        stop = true;
-
-    if (!stop) {
-        if (sh.ctl.beginCycle(done, sh.net.traceExhausted(),
-                              sh.net.packetsGenerated())) {
-            sh.net.resetActivity();
-            sh.net.resetContention();
-        }
-    }
+    if (!stop)
+        beginCycle(sh, done);
     sh.now = done;
     sh.stop = stop;
 }
@@ -139,77 +171,17 @@ NOC_PHASE_FN(engine)
 void
 work(Shared &sh, int s)
 {
-    Network &net = sh.net;
-    const ShardPlan &plan = sh.plan;
-    const bool idleSkip = net.idleSkipEnabled();
-    std::uint64_t stepsExec = 0, stepsSched = 0;
-#if NOC_RACE_CHECK_BUILT
-    // Each shard logs only into its own lane; the barrier publishes
-    // the lanes to the epilogue's endCycle validation.
-    par::RaceChecker *const race = net.raceChecker();
-#endif
-    for (;;) {
-        // Cycle state is stable between barriers: the epilogue is the
-        // only writer and it runs inside the previous barrier.
-        Cycle now = sh.now;
-        bool generating = sh.ctl.generating();
-        bool measuring = sh.ctl.measuring();
-
-        // NIC sources must run every generating cycle (each draws its
-        // RNG stream per cycle); the loop vanishes in the drain phase.
-        // Service mode keeps the NICs running through the drain so
-        // scheduled replies still fire (mirrors Network::step's gate).
-        // The epilogue zeroed generated[s] after reading it.
-        if (generating || sh.cfg.svc.enabled) {
-            std::uint64_t gen = 0;
-            for (NodeId n : plan.nodes(s))
-                gen += static_cast<std::uint64_t>(
-                    net.nic(n).generate(now, measuring, generating));
-            sh.generated[static_cast<std::size_t>(s)].value = gen;
-        }
-
-        // Identical idle-skip decisions to the serial loop: within a
-        // phase, only this thread writes a phase-p router's flag (its
-        // clear after stepping) — same-phase routers never share a
-        // neighbour, and cross-phase wake-ups are ordered by the
-        // barriers — so every read sees exactly the serial value.
-        for (int ph = 0; ph < kNumStepPhases; ++ph) {
-            const std::vector<NodeId> &nodes = plan.phaseNodes(s, ph);
-            stepsSched += nodes.size();
-            if (idleSkip) {
-                for (NodeId n : nodes) {
-                    std::atomic<std::uint8_t> &flag = net.activeFlag(n);
-                    if (!flag.load(std::memory_order_relaxed))
-                        continue;
-                    net.router(n).step(now);
-                    ++stepsExec;
-#if NOC_RACE_CHECK_BUILT
-                    if (race)
-                        race->noteStep(n, ph, s);
-#endif
-                    if (!net.router(n).hasLocalWork())
-                        flag.store(0, std::memory_order_relaxed);
-                }
-            } else {
-                for (NodeId n : nodes) {
-                    net.router(n).step(now);
-#if NOC_RACE_CHECK_BUILT
-                    if (race)
-                        race->noteStep(n, ph, s);
-#endif
-                }
-                stepsExec += nodes.size();
-            }
-            if (ph + 1 < kNumStepPhases)
-                sh.barrier.arriveAndWait();
-        }
+    Network::StepCounts steps;
+    // Cycle state is stable between barriers: the epilogue is the only
+    // writer and it runs inside the previous cycle's last barrier.
+    while (!sh.stop) {
+        const Cycle now = sh.now;
+        sh.generated[static_cast<std::size_t>(s)].value =
+            sh.net.stepShard(sh.sched, s, now, sh.ctl.generating(),
+                             sh.ctl.measuring(), steps, &sh.barrier);
         sh.barrier.arriveAndWait([&sh] { epilogue(sh); });
-        if (sh.stop) {
-            sh.stepsExec[static_cast<std::size_t>(s)].value = stepsExec;
-            sh.stepsSched[static_cast<std::size_t>(s)].value = stepsSched;
-            return;
-        }
     }
+    sh.steps[static_cast<std::size_t>(s)] = steps;
 }
 
 } // namespace
@@ -229,7 +201,7 @@ effectiveShards(const SimConfig &cfg, int numNodes)
 }
 
 NOC_PHASE_FN(epilogue)
-RunOutcome
+Cycle
 runSharded(Network &net, const SimConfig &cfg, int shards,
            obs::Recorder *obs, RunControl &ctl)
 {
@@ -237,15 +209,13 @@ runSharded(Network &net, const SimConfig &cfg, int shards,
     Shared sh(net, cfg, plan, ctl, obs);
 
 #if NOC_RACE_CHECK_BUILT
-    // Re-lane the race checker for this shard count (the serial
-    // attach sized it for one lane).
     if (par::RaceChecker *race = net.raceChecker())
         race->beginRun(plan.shards());
 #endif
 
     // Per-shard ledgers keep flit-lifecycle counting lock-free; the
-    // epilogue reduces them, and the master ledger is restored (with
-    // the reduced totals) before returning. Latency lanes are per shard
+    // epilogue reduces them into the master ledger every cycle, and
+    // the nodes are bound back to it before returning. Latency lanes are per shard
     // for the same reason, but are only merged once, by Simulator::run.
     for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n) {
         net.bindNodeLedger(n, &sh.ledgers[static_cast<std::size_t>(
@@ -263,12 +233,8 @@ runSharded(Network &net, const SimConfig &cfg, int shards,
     check::invariantsEnabled();
 #endif
 
-    // Mirror the serial loop's first top-of-cycle bookkeeping (cycle 0
-    // flags are decided before any step).
-    if (ctl.beginCycle(0, net.traceExhausted(), net.packetsGenerated())) {
-        net.resetActivity();
-        net.resetContention();
-    }
+    // Cycle 0's flags are decided before any step.
+    beginCycle(sh, 0);
 
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(plan.shards() - 1));
@@ -282,12 +248,10 @@ runSharded(Network &net, const SimConfig &cfg, int shards,
         net.bindNodeLedger(n, nullptr);
         net.bindNodeLane(n, 0);
     }
-    net.setLedgerTotals(sh.totals);
-    for (int s = 0; s < plan.shards(); ++s)
-        net.addRouterSteps(sh.stepsExec[static_cast<std::size_t>(s)].value,
-                           sh.stepsSched[static_cast<std::size_t>(s)].value);
+    for (const Network::StepCounts &c : sh.steps)
+        net.addRouterSteps(c);
 
-    return RunOutcome{sh.now};
+    return sh.now;
 }
 
 } // namespace noc::par

@@ -40,20 +40,6 @@ PathSensitiveRouter::quadrantOccupancy(Quadrant q) const
     return n;
 }
 
-Direction
-PathSensitiveRouter::slotOwner(Quadrant q, int vcIdx)
-{
-    QuadrantPorts p = portsOf(q);
-    switch (vcIdx) {
-      case 0: return opposite(p.b); // horizontal arrival
-      case 1: return opposite(p.a); // vertical arrival
-      case 2: return Direction::Local;
-      default:
-        NOC_ASSERT(false, "path sets have exactly three VCs");
-        return Direction::Invalid;
-    }
-}
-
 void
 PathSensitiveRouter::step(Cycle now)
 {

@@ -40,12 +40,6 @@ class PathSensitiveRouter : public Router
     NOC_PHASE_FN(step) void step(Cycle now) override;
     RouterArch arch() const override { return RouterArch::PathSensitive; }
 
-    /**
-     * The arrival direction owning VC index @p vcIdx of quadrant @p q
-     * (0: horizontal arrival, 1: vertical arrival, 2: local).
-     */
-    static Direction slotOwner(Quadrant q, int vcIdx);
-
     /** Flits buffered in one quadrant path set (tests). */
     int quadrantOccupancy(Quadrant q) const;
 

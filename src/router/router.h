@@ -251,10 +251,13 @@ class Router
     /**
      * Receiver-side VC reservation handshake (RoCo / Path-Sensitive).
      *
-     * The downstream router referees its own input VC pool: several
-     * upstream links may feed one path set, so an upstream probes and
-     * reserves a slot over per-VC request/grant wires instead of
-     * mirroring ownership locally. @p probeOnly leaves state untouched
+     * The downstream router referees its own input VC pool: an
+     * upstream probes and reserves a slot over per-VC request/grant
+     * wires instead of mirroring ownership locally. Only the
+     * path-sensitive quadrant VCs are contended (any link feeding a
+     * quadrant may claim any of its VCs); each RoCo VC has exactly one
+     * writing link (ownerDirection in roco/vc_config.h), so RoCo's
+     * probe never refuses and the call only records the reservation. @p probeOnly leaves state untouched
      * and returns whether the slot could be reserved; a real call
      * records (@p fromDir, @p packetId). @p freeSpace reports the
      * buffer slots available to the reserver at grant time.

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "check/invariant.h"
+#include "par/barrier.h"
 #include "router/generic/generic_router.h"
 #include "router/pathsensitive/ps_router.h"
 #include "router/roco/roco_router.h"
@@ -120,18 +121,7 @@ Network::build(const std::vector<FaultSpec> &faults)
         }
     }
 
-    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
-        Coord c = topo_.coord(id);
-        phases_[stepPhase(c.x, c.y)].push_back(id);
-    }
-    flatPhases_.reserve(static_cast<std::size_t>(n));
-    for (int ph = 0; ph < kNumStepPhases; ++ph) {
-        phaseOfs_[ph] = static_cast<std::uint32_t>(flatPhases_.size());
-        for (NodeId id : phases_[ph])
-            flatPhases_.push_back({routers_[id].get(), &active_[id]});
-    }
-    phaseOfs_[kNumStepPhases] =
-        static_cast<std::uint32_t>(flatPhases_.size());
+    serial_ = schedule(ShardPlan(cfg_.meshWidth, cfg_.meshHeight, 1));
 }
 
 void
@@ -160,56 +150,90 @@ Network::setObserver(obs::Recorder *obs)
         nic->setObserver(obs);
 }
 
-void
-Network::step(Cycle now, bool generationEnabled, bool measured)
+Network::StepSchedule
+Network::schedule(const ShardPlan &plan)
+{
+    StepSchedule sch;
+    sch.nics.reserve(static_cast<std::size_t>(numNodes()));
+    sch.steps.reserve(static_cast<std::size_t>(numNodes()));
+    for (int s = 0; s < plan.shards(); ++s) {
+        sch.nicOfs.push_back(static_cast<std::uint32_t>(sch.nics.size()));
+        for (NodeId id : plan.nodes(s))
+            sch.nics.push_back(nics_[id].get());
+        for (int ph = 0; ph < kNumStepPhases; ++ph) {
+            sch.stepOfs.push_back(
+                static_cast<std::uint32_t>(sch.steps.size()));
+            for (NodeId id : plan.phaseNodes(s, ph))
+                sch.steps.push_back({routers_[id].get(), &active_[id]});
+        }
+    }
+    sch.nicOfs.push_back(static_cast<std::uint32_t>(sch.nics.size()));
+    sch.stepOfs.push_back(static_cast<std::uint32_t>(sch.steps.size()));
+    return sch;
+}
+
+std::uint64_t
+Network::stepShard(const StepSchedule &sched, int s, Cycle now,
+                   bool generating, bool measuring, StepCounts &counts,
+                   par::SpinBarrier *phaseBarrier)
 {
     // The NIC loop must run every cycle while traffic is generated —
     // each Bernoulli source draws from its RNG stream per cycle — but
     // disappears entirely in the drain phase. Service mode keeps it
     // alive through the drain: scheduled replies must still be pumped
     // (with request generation off) or the closed loop would truncate.
-    if (generationEnabled || cfg_.svc.enabled) {
-        for (auto &nic : nics_) {
-            generatedBase1_ += static_cast<std::uint64_t>(
-                nic->generate(now, measured, generationEnabled));
-        }
+    std::uint64_t generated = 0;
+    if (generating || cfg_.svc.enabled) {
+        const std::uint32_t hi = sched.nicOfs[s + 1];
+        for (std::uint32_t i = sched.nicOfs[s]; i < hi; ++i)
+            generated += static_cast<std::uint64_t>(
+                sched.nics[i]->generate(now, measuring, generating));
     }
-    const PhaseEntry *entries = flatPhases_.data();
+
+    // Idle-skip decisions do not depend on the shard count: within a
+    // phase only the stepping shard writes a phase-p router's flag
+    // (its clear after stepping) — same-phase routers never share a
+    // neighbour, and cross-phase wake-ups are ordered by the phase
+    // barriers — so every read sees the value a single shard would.
+    const bool skip = idleSkip_;
+    const StepSchedule::Entry *entries = sched.steps.data();
+    const std::uint32_t *ofs =
+        sched.stepOfs.data() + static_cast<std::size_t>(s) * kNumStepPhases;
 #if NOC_RACE_CHECK_BUILT
     par::RaceChecker *const race = race_;
 #endif
+    std::uint64_t executed = 0;
     for (int ph = 0; ph < kNumStepPhases; ++ph) {
-        const std::uint32_t lo = phaseOfs_[ph];
-        const std::uint32_t hi = phaseOfs_[ph + 1];
-        stepsScheduled_ += hi - lo;
-        if (idleSkip_) {
-            for (std::uint32_t i = lo; i < hi; ++i) {
-                const PhaseEntry &e = entries[i];
-                if (!e.flag->load(std::memory_order_relaxed))
-                    continue; // provably a no-op (see DESIGN 12)
-                e.r->step(now);
-                ++stepsExecuted_;
+        const std::uint32_t hi = ofs[ph + 1];
+        for (std::uint32_t i = ofs[ph]; i < hi; ++i) {
+            const StepSchedule::Entry &e = entries[i];
+            if (skip && !e.flag->load(std::memory_order_relaxed))
+                continue; // provably a no-op (see DESIGN 12)
+            e.r->step(now);
+            ++executed;
 #if NOC_RACE_CHECK_BUILT
-                if (race)
-                    race->noteStep(e.r->id(), ph, 0);
+            if (race)
+                race->noteStep(e.r->id(), ph, s);
 #endif
-                if (!e.r->hasLocalWork())
-                    e.flag->store(0, std::memory_order_relaxed);
-            }
-        } else {
-            for (std::uint32_t i = lo; i < hi; ++i) {
-                entries[i].r->step(now);
-#if NOC_RACE_CHECK_BUILT
-                if (race)
-                    race->noteStep(entries[i].r->id(), ph, 0);
-#endif
-            }
-            stepsExecuted_ += hi - lo;
+            if (skip && !e.r->hasLocalWork())
+                e.flag->store(0, std::memory_order_relaxed);
         }
+        if (phaseBarrier != nullptr && ph + 1 < kNumStepPhases)
+            phaseBarrier->arriveAndWait();
     }
+    counts.executed += executed;
+    counts.scheduled += ofs[kNumStepPhases] - ofs[0];
+    return generated;
+}
+
+void
+Network::step(Cycle now, bool generationEnabled, bool measured)
+{
+    generatedBase1_ += stepShard(serial_, 0, now, generationEnabled,
+                                 measured, steps_, nullptr);
 #if NOC_RACE_CHECK_BUILT
-    if (race)
-        race->endCycle(now);
+    if (race_)
+        race_->endCycle(now);
 #endif
 }
 

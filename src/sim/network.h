@@ -27,6 +27,10 @@
 
 namespace noc {
 
+namespace par {
+class SpinBarrier;
+} // namespace par
+
 class Network
 {
   public:
@@ -42,17 +46,70 @@ class Network
     Network &operator=(const Network &) = delete;
 
     /**
-     * Advances one cycle: NICs generate traffic, then the routers step
-     * phase by phase of the pentachromatic schedule (ascending id
-     * within a phase; see topology/partition.h). Inter-router channels
-     * are delay lines, but the RoCo / path-sensitive reserveInputVc
-     * handshake acts on the neighbour within the cycle, so the phase
-     * structure — not channel latency alone — is what makes the step
-     * order canonical. The sharded engine (src/par) runs the identical
-     * schedule, which keeps its results bit-identical to this loop.
+     * Advances one cycle: one trip through stepShard() over the
+     * network's own 1-shard schedule, then the race checker's cycle
+     * validation. Simulator::run does not call this (it drives every
+     * run through par::runSharded); it is the stand-alone single-cycle
+     * entry for hand-rolled loops such as the liveness refinement.
      */
     NOC_PHASE_FN(engine)
     void step(Cycle now, bool generationEnabled, bool measured);
+
+    /**
+     * The router step order of one ShardPlan, resolved to pointers for
+     * the cycle loop. The plan owns the order (topology/partition.h);
+     * this is only its flat view: per shard, its NICs in ascending id
+     * (the generation order) and, per schedule phase, its routers in
+     * ascending id with their idle-skip flags.
+     */
+    struct StepSchedule {
+        struct Entry {
+            Router *r;
+            std::atomic<std::uint8_t> *flag;
+        };
+        static_assert(std::is_trivially_copyable_v<Entry> &&
+                          sizeof(Entry) == 2 * sizeof(void *),
+                      "Entry is the cycle loop's inner stride; keep it "
+                      "two raw pointers, nothing else");
+        /** NICs of shard s: nics[nicOfs[s] .. nicOfs[s + 1]). */
+        std::vector<Nic *> nics;
+        std::vector<std::uint32_t> nicOfs;
+        /** Routers of shard s, phase ph: steps[stepOfs[i] ..
+         *  stepOfs[i + 1]) with i = s * kNumStepPhases + ph. */
+        std::vector<Entry> steps;
+        std::vector<std::uint32_t> stepOfs;
+    };
+
+    /** Flattens @p plan's step order over this network's nodes. */
+    NOC_PHASE_FN(setup)
+    StepSchedule schedule(const ShardPlan &plan);
+
+    /** Router steps one shard executed and was scheduled to run. */
+    struct StepCounts {
+        std::uint64_t executed = 0;
+        std::uint64_t scheduled = 0;
+    };
+
+    /**
+     * The one cycle body: shard @p s of @p sched generates its NICs'
+     * traffic, then steps its routers phase by phase of the
+     * pentachromatic schedule, skipping idle routers when idle-skip is
+     * on. Adds to @p counts and returns the packets generated.
+     * Between phases it waits on @p phaseBarrier (null for a lone
+     * caller), so a shard never starts phase p + 1 before every shard
+     * has finished phase p.
+     *
+     * Inter-router channels are delay lines, but the RoCo /
+     * path-sensitive reserveInputVc handshake acts on the neighbour
+     * within the cycle, so the phase structure — not channel latency
+     * alone — is what makes the step order canonical and the result
+     * independent of how nodes are spread over shards.
+     */
+    NOC_PHASE_FN(engine)
+    std::uint64_t stepShard(const StepSchedule &sched, int s, Cycle now,
+                            bool generating, bool measuring,
+                            StepCounts &counts,
+                            par::SpinBarrier *phaseBarrier);
 
     const MeshTopology &topology() const { return topo_; }
     const SimConfig &config() const { return cfg_; }
@@ -65,24 +122,8 @@ class Network
     int numNodes() const { return topo_.numNodes(); }
 
     /**
-     * Whether the idle-skip fast path is active (cfg.idleSkip, or the
-     * NOC_IDLE_SKIP environment override read at construction).
-     */
-    bool idleSkipEnabled() const { return idleSkip_; }
-
-    /**
-     * Node @p n's active flag. Set by anyone routing an event toward
-     * the node (neighbour sends, local injection); cleared by the
-     * engine after a step leaves the router with no local work. The
-     * sharded engine reads/writes these same flags — relaxed atomics
-     * suffice because every cross-thread edge is ordered by its phase
-     * barrier; the flags only carry "wake up later", never data.
-     */
-    std::atomic<std::uint8_t> &activeFlag(NodeId n) { return active_[n]; }
-
-    /**
      * Attaches the shard-ownership race checker (null detaches). The
-     * engines only feed it in NOC_RACE_CHECK builds; attaching is
+     * cycle loop only feeds it in NOC_RACE_CHECK builds; attaching is
      * always legal (see par/race_check.h).
      */
     void setRaceChecker(par::RaceChecker *rc) { race_ = rc; }
@@ -90,17 +131,16 @@ class Network
 
     /** Router steps actually executed (the skipped remainder of
      *  cycles * nodes is the idle-skip win). */
-    std::uint64_t routerStepsExecuted() const { return stepsExecuted_; }
+    std::uint64_t routerStepsExecuted() const { return steps_.executed; }
     /** Router step opportunities seen by the engine. */
-    std::uint64_t routerStepsScheduled() const { return stepsScheduled_; }
-    /** Folds a shard worker's step counts in (sharded engine); the
-     *  skip decisions are bit-identical to serial, so the reduced
-     *  totals match the serial loop's. */
+    std::uint64_t routerStepsScheduled() const { return steps_.scheduled; }
+    /** Folds a shard worker's step counts in; the skip decisions do not
+     *  depend on the shard count, so neither do the totals. */
     NOC_PHASE_FN(epilogue)
-    void addRouterSteps(std::uint64_t executed, std::uint64_t scheduled)
+    void addRouterSteps(const StepCounts &c)
     {
-        stepsExecuted_ += executed;
-        stepsScheduled_ += scheduled;
+        steps_.executed += c.executed;
+        steps_.scheduled += c.scheduled;
     }
 
     /** Base-1 generation counter: 1 + packets generated so far. */
@@ -206,10 +246,13 @@ class Network
     /** Latency lanes; held by pointer so NIC bindings survive growth. */
     std::vector<std::unique_ptr<LatencyLane>> lanes_;
     /**
-     * Per-node idle-skip flags (see activeFlag()). Cross-shard by
-     * design, so they must stay lock-free atomics: the relaxed
-     * set/clear protocol only carries "wake up later", never data, and
-     * a lock here would serialise every sender.
+     * Per-node idle-skip flags. Set by anyone routing an event toward
+     * the node (neighbour sends, local injection); cleared by
+     * stepShard() after a step leaves the router with no local work.
+     * Cross-shard by design, so they must stay lock-free atomics:
+     * relaxed order suffices because every cross-thread edge is ordered
+     * by a phase barrier, the flags only carry "wake up later", never
+     * data, and a lock here would serialise every sender.
      */
     std::unique_ptr<std::atomic<std::uint8_t>[]> active_;
     static_assert(std::atomic<std::uint8_t>::is_always_lock_free,
@@ -218,29 +261,11 @@ class Network
                   "the spin barrier's forward-progress assumption");
     bool idleSkip_ = true;
     NOC_OWNED_STATE(engine, epilogue)
-    std::uint64_t stepsExecuted_ = 0;
-    NOC_OWNED_STATE(engine, epilogue)
-    std::uint64_t stepsScheduled_ = 0;
+    StepCounts steps_;
     /** Shard-ownership race checker, when attached (see race_check.h). */
     par::RaceChecker *race_ = nullptr;
-    /** Router step order: node ids per schedule phase, ascending. */
-    std::vector<NodeId> phases_[kNumStepPhases];
-    /**
-     * phases_ flattened for the serial engine's inner loop: raw router
-     * pointer + idle-skip flag per entry, contiguous across phases
-     * (phaseOfs_[p] .. phaseOfs_[p+1]). Avoids the unique_ptr table
-     * and per-phase vector indirections on the per-cycle path.
-     */
-    struct PhaseEntry {
-        Router *r;
-        std::atomic<std::uint8_t> *flag;
-    };
-    static_assert(std::is_trivially_copyable_v<PhaseEntry> &&
-                      sizeof(PhaseEntry) == 2 * sizeof(void *),
-                  "PhaseEntry is the serial engine's inner-loop stride; "
-                  "keep it two raw pointers, nothing else");
-    std::vector<PhaseEntry> flatPhases_;
-    std::uint32_t phaseOfs_[kNumStepPhases + 1] = {};
+    /** step()'s schedule: the 1-shard ShardPlan, flattened. */
+    StepSchedule serial_;
 };
 
 /** Instantiates the router microarchitecture selected by @p cfg. */

@@ -8,19 +8,25 @@
  *     the mesh. A router's step reads and writes state on itself and
  *     its four neighbours (the RoCo / path-sensitive designs run the
  *     receiver-side reserveInputVc handshake against the downstream
- *     router inside the same cycle), so two routers' steps can touch a
- *     common node whenever they are within Manhattan distance 2 of
- *     each other. phase(x, y) = (x + 2y) mod 5 puts any two nodes at
+ *     router inside the same cycle: a path-sensitive quadrant VC may be
+ *     claimed by any link feeding it, so the probe's answer depends on
+ *     order; a RoCo VC has one writing link, so its probe never
+ *     refuses, but the commit still writes the neighbour's reservation
+ *     record), so two routers' steps can touch a common node whenever
+ *     they are within Manhattan distance 2 of each other. phase(x, y) = (x + 2y) mod 5 puts any two nodes at
  *     distance <= 2 in different phases — the smallest nonzero (dx,
  *     dy) with dx + 2dy = 0 (mod 5) has |dx| + |dy| = 3 — so all steps
  *     inside one phase have disjoint footprints and commute exactly.
  *     Stepping phase 0..4 in order therefore yields the same network
  *     state no matter how the nodes of a phase are distributed over
- *     threads. The serial engine uses the identical schedule, which is
- *     what makes sharded runs bit-identical to serial ones.
+ *     threads, which is what makes runs bit-identical at every shard
+ *     count.
  *
  *  2. ShardPlan: a balanced partition of the node set into rectangular
- *     shards (one worker thread each). The geometry is purely a
+ *     shards (one worker thread each), and the only owner of the step
+ *     order: every cycle loop, the 1-shard one of Network::step
+ *     included, steps a plan's phaseNodes (flattened by
+ *     Network::schedule). The geometry is purely a
  *     locality knob — correctness comes from the schedule — so when a
  *     shard count has no rectangular factorisation that fits the mesh,
  *     the plan falls back to contiguous node-id ranges.
