@@ -11,12 +11,13 @@
  *
  * validateConfigLiveness() is the production entry point, invoked by
  * Simulator construction and SweepRunner pre-warm next to the deadlock
- * prover: it proves the (arch, routing) pair's 2x2 matrix plus the
- * component-tier arbiter checks once per process (memoized under a
- * mutex, NOC_SKIP_CHECK honored) and exits via fatal() with a rendered
- * counterexample on violation.  The 3x3 matrices run in the noc_model
- * ctest entries, keeping per-simulation overhead negligible; the rules
- * are translation-invariant and local, so the small meshes exercise
+ * prover: it proves the (arch, routing) pair's 2x2 matrix once per
+ * process and the config-independent component-tier arbiter checks
+ * once in all (memoized under a mutex, NOC_SKIP_CHECK honored), and
+ * exits via fatal() with a rendered counterexample on violation.  The
+ * 3x3 matrices run in the noc_model ctest entries, keeping
+ * per-simulation overhead negligible; the rules are
+ * translation-invariant and local, so the small meshes exercise
  * every (arrival, output, class) combination the large ones do.
  */
 #ifndef ROCOSIM_MODEL_LIVENESS_H_

@@ -67,6 +67,26 @@ TEST(Cdg, EdgeInsertionIsIdempotent)
     EXPECT_FALSE(g.hasEdge(77, 3));
 }
 
+TEST(Cdg, MaskInsertionMatchesSingleEdges)
+{
+    // A mask straddling a word boundary, added twice: the row OR must
+    // set exactly the single-edge bits and count each edge once.
+    Cdg rows(200);
+    Cdg single(200);
+    const std::uint64_t mask = 0xf00000000000000full;
+    for (int rep = 0; rep < 2; ++rep)
+        rows.addEdges(7, 70, mask);
+    for (int j = 0; j < 64; ++j) {
+        if ((mask >> j) & 1)
+            single.addEdge(7, 70 + j);
+    }
+    EXPECT_EQ(rows.numEdges(), 8u);
+    EXPECT_EQ(rows.numEdges(), single.numEdges());
+    EXPECT_EQ(rows.digest(), single.digest());
+    EXPECT_TRUE(rows.hasEdge(7, 133));
+    EXPECT_FALSE(rows.hasEdge(7, 134));
+}
+
 TEST(Prover, ShippedRocoTablesAreStrictlyAcyclic)
 {
     MeshTopology topo(5, 5);
@@ -142,6 +162,27 @@ TEST(Prover, LargeMeshesAreProvedOnTheSurrogate)
     cfg.routing = RoutingKind::Adaptive;
     ProofResult r = prove(cfg);
     EXPECT_TRUE(r.deadlockFree) << r.summary();
+
+    // One past the cap proves the very graph the cap itself builds,
+    // and shares its memo key.
+    for (RouterArch arch : {RouterArch::Roco, RouterArch::Generic,
+                            RouterArch::PathSensitive}) {
+        SimConfig over;
+        over.meshWidth = kProofSurrogateDim + 1;
+        over.meshHeight = kProofSurrogateDim + 1;
+        over.arch = arch;
+        over.routing = RoutingKind::XYYX;
+        SimConfig at = over;
+        at.meshWidth = kProofSurrogateDim;
+        at.meshHeight = kProofSurrogateDim;
+        EXPECT_EQ(proofFingerprint(over, ProofScope::Deadlock),
+                  proofFingerprint(at, ProofScope::Deadlock));
+        ProofResult big = prove(over);
+        ProofResult capped = prove(at);
+        EXPECT_EQ(big.graphDigest, capped.graphDigest) << big.summary();
+        EXPECT_EQ(big.escapeDigest, capped.escapeDigest) << big.summary();
+        EXPECT_EQ(big.summary(), capped.summary());
+    }
 }
 
 TEST(Prover, SkipCheckEnvironmentVariableIsHonoured)
